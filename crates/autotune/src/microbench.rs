@@ -1,10 +1,33 @@
 //! Micro-benchmark harness for the dynamic tuner: generates (and caches)
 //! tuning workloads and measures candidate configurations on the simulated
 //! device through reusable [`SolveSession`]s.
+//!
+//! ## Cost-only pricing
+//!
+//! A candidate's simulated cost is a pure function of its plan and the
+//! device: every kernel meter takes launch-shape arguments only. So the
+//! harness prices a candidate with [`SolveSession::measure_metered`] —
+//! meters only, no numerics, no upload, no tuning batch — whenever that is
+//! provably the number the numeric solve would return, and falls back to a
+//! full numeric [`SolveSession::measure`] otherwise. The metered path is
+//! admitted when all three hold:
+//!
+//! 1. the device has no fault campaign, no sanitizer and no active stream
+//!    (the hooks that act on data or stream state);
+//! 2. [`analyze_plan`] certifies the plan — every access in bounds and
+//!    every scattered write disjoint, so no write race and no scatter
+//!    panic;
+//! 3. [`certify_plan`] certifies the plan for the class of the tuning batch
+//!    ([`WorkloadClass::Dominant`], what [`random_dominant`] generates) —
+//!    every Thomas pivot bounded away from zero, so no numerical breakdown.
+//!
+//! Either way the candidate gets the same cost, so the tuner's search, its
+//! output and the evaluation counts are unchanged; only the host time
+//! differs.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use trisolve_analyze::{certify_plan, statically_rejected, StabilityCertificate};
+use trisolve_analyze::{analyze_plan, certify_plan, statically_rejected, StabilityCertificate};
 use trisolve_core::engine::SolveSession;
 use trisolve_core::kernels::{elem_bytes, GpuScalar};
 use trisolve_core::{SolvePlan, SolverParams};
@@ -16,6 +39,10 @@ use trisolve_tridiag::SystemBatch;
 /// Deterministic seed for tuning workloads: tuning must be reproducible
 /// run-to-run so the cache stays meaningful.
 const TUNING_SEED: u64 = 0x0007_1215_017e;
+
+/// The class [`random_dominant`] tuning batches belong to: the class the
+/// metered path's stability proof is stated for.
+const TUNING_CLASS: WorkloadClass = WorkloadClass::Dominant;
 
 /// Generates and caches tuning workloads; measures configurations.
 ///
@@ -37,8 +64,14 @@ pub struct Microbench<T: GpuScalar> {
     /// `None` (the default) leaves the harness bit-identical to the
     /// ungated behaviour.
     stability_class: Option<WorkloadClass>,
+    /// Whether the metered path may be used at all (tests turn it off to
+    /// compare against the numeric path).
+    metered: bool,
     /// Total configurations measured (for reporting tuning cost).
     pub measurements: usize,
+    /// Measurements priced by the metered path (see the module docs); the
+    /// other device-priced measurements ran the numerics.
+    pub metered_measurements: usize,
     /// Measurements that hit at least one transient device fault (see
     /// [`trisolve_gpu_sim::fault`]). Each is retried up to
     /// [`FAULT_RETRIES`] times before the candidate is written off as
@@ -78,6 +111,7 @@ impl<T: GpuScalar> std::fmt::Debug for Microbench<T> {
             .field("cached_sessions", &self.sessions.len())
             .field("reuse_sessions", &self.reuse_sessions)
             .field("measurements", &self.measurements)
+            .field("metered_measurements", &self.metered_measurements)
             .finish()
     }
 }
@@ -90,7 +124,9 @@ impl<T: GpuScalar> Microbench<T> {
             sessions: HashMap::new(),
             reuse_sessions: true,
             stability_class: None,
+            metered: true,
             measurements: 0,
+            metered_measurements: 0,
             faulted_measurements: 0,
             pruned_candidates: 0,
             stability_certified: 0,
@@ -124,9 +160,7 @@ impl<T: GpuScalar> Microbench<T> {
 
     /// The (cached) tuning batch for a workload shape.
     pub fn batch(&mut self, shape: WorkloadShape) -> &SystemBatch<T> {
-        self.batches
-            .entry(shape)
-            .or_insert_with(|| random_dominant(shape, TUNING_SEED).expect("valid tuning shape"))
+        tuning_batch(&mut self.batches, shape)
     }
 
     /// Measure the simulated solve time of `params` on `shape`, in seconds.
@@ -137,7 +171,11 @@ impl<T: GpuScalar> Microbench<T> {
     /// When the device has a tracer attached, every measurement emits one
     /// `"tuner"/"eval"` event carrying the candidate's parameters, its
     /// measured cost (`null` when unrunnable) and a `runnable` flag — the
-    /// raw material for reconstructing the tuner's search tree.
+    /// raw material for reconstructing the tuner's search tree. A candidate
+    /// priced on the device also carries `priced_by` (`"metered"` or
+    /// `"numeric"`, counted in `tuner_evals_metered` /
+    /// `tuner_evals_numeric`) and, when numeric, the `numeric_reason` the
+    /// metered path was refused.
     pub fn measure(
         &mut self,
         gpu: &mut Gpu<T>,
@@ -160,10 +198,10 @@ impl<T: GpuScalar> Microbench<T> {
             None
         };
         let refused = stability.as_ref().is_some_and(|c| !c.precision_safe());
-        let (cost, fault_retries) = if pruned.is_some() {
+        let (cost, fault_retries, priced_by) = if pruned.is_some() {
             self.measurements += 1;
             self.pruned_candidates += 1;
-            (f64::INFINITY, 0)
+            (f64::INFINITY, 0, None)
         } else if refused {
             self.measurements += 1;
             self.stability_refuted += 1;
@@ -173,12 +211,13 @@ impl<T: GpuScalar> Microbench<T> {
             {
                 self.precision_downgraded += 1;
             }
-            (f64::INFINITY, 0)
+            (f64::INFINITY, 0, None)
         } else {
             if stability.is_some() {
                 self.stability_certified += 1;
             }
-            self.measure_inner(gpu, shape, params)
+            let (cost, fault_retries, pricing) = self.measure_inner(gpu, shape, params);
+            (cost, fault_retries, Some(pricing))
         };
         if tracer.is_enabled() {
             let mut args = vec![
@@ -199,6 +238,18 @@ impl<T: GpuScalar> Microbench<T> {
             if let Some(cert) = &stability {
                 args.push(arg("stability_refused", refused));
                 args.push(arg("bound_rel", cert.bound_rel));
+            }
+            match priced_by {
+                Some(Pricing::Metered) => {
+                    args.push(arg("priced_by", "metered"));
+                    tracer.counter_add("tuner_evals_metered", 1);
+                }
+                Some(Pricing::Numeric(reason)) => {
+                    args.push(arg("priced_by", "numeric"));
+                    args.push(arg("numeric_reason", reason));
+                    tracer.counter_add("tuner_evals_numeric", 1);
+                }
+                None => {}
             }
             tracer.instant_now("tuner", "eval", args);
             tracer.counter_add("tuner_evals", 1);
@@ -249,19 +300,17 @@ impl<T: GpuScalar> Microbench<T> {
         gpu: &mut Gpu<T>,
         shape: WorkloadShape,
         params: &SolverParams,
-    ) -> (f64, usize) {
+    ) -> (f64, usize, Pricing) {
         self.measurements += 1;
-        let batch = self
-            .batches
-            .entry(shape)
-            .or_insert_with(|| random_dominant(shape, TUNING_SEED).expect("valid tuning shape"));
         if !self.reuse_sessions {
             // Pre-engine behaviour: a full one-shot solve per measurement —
             // fresh session, re-allocation, and a result download.
+            let batch = tuning_batch(&mut self.batches, shape);
             let t = SolveSession::new(gpu, shape)
                 .and_then(|mut s| s.solve(gpu, batch, params))
                 .map(|o| o.sim_time_s);
-            return (t.unwrap_or(f64::INFINITY), 0);
+            let pricing = Pricing::Numeric("session-per-measurement");
+            return (t.unwrap_or(f64::INFINITY), 0, pricing);
         }
         let session = match self.sessions.entry(shape) {
             Entry::Occupied(e) => e.into_mut(),
@@ -269,9 +318,20 @@ impl<T: GpuScalar> Microbench<T> {
                 Ok(s) => v.insert(s),
                 // The shape itself doesn't fit the device: every parameter
                 // point is unrunnable.
-                Err(_) => return (f64::INFINITY, 0),
+                Err(_) => return (f64::INFINITY, 0, Pricing::Numeric("shape-does-not-fit")),
             },
         };
+        let refusal = if self.metered {
+            metered_refusal(gpu, session, params, TUNING_CLASS)
+        } else {
+            Some("metered-off")
+        };
+        let Some(reason) = refusal else {
+            self.metered_measurements += 1;
+            let t = session.measure_metered(gpu, params);
+            return (t.unwrap_or(f64::INFINITY), 0, Pricing::Metered);
+        };
+        let batch = tuning_batch(&mut self.batches, shape);
         // Transient device faults (injected launch failures, timeouts) get
         // a short retry budget so one blip does not disqualify a good
         // candidate; a candidate still faulting afterwards is skipped
@@ -279,7 +339,7 @@ impl<T: GpuScalar> Microbench<T> {
         let mut fault_retries = 0usize;
         loop {
             match session.measure(gpu, batch, params) {
-                Ok(t) => return (t, fault_retries),
+                Ok(t) => return (t, fault_retries, Pricing::Numeric(reason)),
                 Err(e) if e.is_transient() && fault_retries < FAULT_RETRIES => {
                     if fault_retries == 0 {
                         self.faulted_measurements += 1;
@@ -289,7 +349,7 @@ impl<T: GpuScalar> Microbench<T> {
                 // Deterministic failures (bad params, validation, algebra,
                 // numerical breakdown) and transient faults past the retry
                 // budget: unrunnable.
-                Err(_) => return (f64::INFINITY, fault_retries),
+                Err(_) => return (f64::INFINITY, fault_retries, Pricing::Numeric(reason)),
             }
         }
     }
@@ -300,11 +360,63 @@ impl<T: GpuScalar> Microbench<T> {
     }
 }
 
+/// How a device-priced measurement was taken.
+#[derive(Debug, Clone, Copy)]
+enum Pricing {
+    /// Meters only ([`SolveSession::measure_metered`]).
+    Metered,
+    /// A full numeric solve, for the recorded reason.
+    Numeric(&'static str),
+}
+
+/// The (cached) tuning batch for `shape`, generated on first use.
+fn tuning_batch<T: GpuScalar>(
+    batches: &mut HashMap<WorkloadShape, SystemBatch<T>>,
+    shape: WorkloadShape,
+) -> &SystemBatch<T> {
+    batches
+        .entry(shape)
+        .or_insert_with(|| random_dominant(shape, TUNING_SEED).expect("valid tuning shape"))
+}
+
+/// Why `params` cannot be priced by the metered path on this device and
+/// session, or `None` when the metered reading is provably the numeric one
+/// for a batch of class `batch_class` (the three-part predicate of the
+/// module docs).
+fn metered_refusal<T: GpuScalar>(
+    gpu: &Gpu<T>,
+    session: &mut SolveSession<T>,
+    params: &SolverParams,
+    batch_class: WorkloadClass,
+) -> Option<&'static str> {
+    if gpu.faults_enabled() {
+        return Some("fault-plan");
+    }
+    if gpu.sanitizing() {
+        return Some("sanitizer");
+    }
+    if gpu.active_stream().is_some() {
+        return Some("active-stream");
+    }
+    let eb = elem_bytes::<T>();
+    let Ok(plan) = session.plan_for(params) else {
+        return Some("plan-rejected");
+    };
+    if !analyze_plan(plan, gpu.spec().queryable(), eb).certified() {
+        return Some("access-unproven");
+    }
+    if !certify_plan(plan, batch_class, eb).certified() {
+        return Some("stability-unproven");
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use trisolve_core::{solver, BaseVariant};
     use trisolve_gpu_sim::DeviceSpec;
+    use trisolve_obs::Tracer;
 
     #[test]
     fn measures_and_counts() {
@@ -507,6 +619,144 @@ mod tests {
         );
         assert_eq!(plain.stability_certified, 0);
         assert_eq!(gated.stability_certified, 1);
+    }
+
+    /// `(priced_by, numeric_reason)` of every `"tuner"/"eval"` event.
+    fn pricing_args(tracer: &Tracer) -> Vec<(Option<String>, Option<String>)> {
+        tracer
+            .events()
+            .iter()
+            .filter(|e| e.cat == "tuner" && e.name == "eval")
+            .map(|e| {
+                (
+                    e.arg_str("priced_by").map(str::to_string),
+                    e.arg_str("numeric_reason").map(str::to_string),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn provable_candidates_are_priced_by_meters_alone() {
+        let shape = WorkloadShape::new(32, 512);
+        let p = SolverParams::default_untuned();
+        let mut mb: Microbench<f32> = Microbench::new();
+        let mut gpu = Gpu::new(DeviceSpec::gtx_470());
+        let tracer = Tracer::enabled();
+        gpu.set_tracer(tracer.clone());
+        let t = mb.measure(&mut gpu, shape, &p);
+        assert!(t.is_finite());
+        assert_eq!(mb.metered_measurements, 1);
+        assert_eq!(mb.cached_sessions(), 1);
+        assert!(mb.batches.is_empty(), "no tuning batch needed");
+        assert_eq!(pricing_args(&tracer), [(Some("metered".into()), None)]);
+        assert!(tracer.counters().contains(&("tuner_evals_metered", 1)));
+
+        // The numeric path, forced, reads the same cost.
+        let mut numeric: Microbench<f32> = Microbench::new();
+        numeric.metered = false;
+        let t_numeric = numeric.measure(&mut Gpu::new(DeviceSpec::gtx_470()), shape, &p);
+        assert_eq!(t.to_bits(), t_numeric.to_bits());
+        assert_eq!(numeric.metered_measurements, 0);
+    }
+
+    #[test]
+    fn hooked_devices_and_unproven_plans_fall_back_to_numeric_pricing() {
+        use trisolve_gpu_sim::FaultPlan;
+        let shape = WorkloadShape::new(32, 512);
+        let p = SolverParams::default_untuned();
+        let clean =
+            Microbench::<f32>::new().measure(&mut Gpu::new(DeviceSpec::gtx_470()), shape, &p);
+
+        let dev = DeviceSpec::gtx_470;
+        // An armed campaign whose rate never fires within one solve.
+        let faulty = Gpu::with_faults(dev(), FaultPlan::seeded(5).with_launch_failures(1e-12));
+        let mut streamed = Gpu::new(dev());
+        let streams = streamed.enable_streams(1);
+        streamed.set_stream(Some(streams[0]));
+        let cases = [
+            ("fault-plan", faulty),
+            ("sanitizer", Gpu::with_sanitizer(dev())),
+            ("active-stream", streamed),
+        ];
+        for (reason, mut gpu) in cases {
+            let mut mb: Microbench<f32> = Microbench::new();
+            let tracer = Tracer::enabled();
+            gpu.set_tracer(tracer.clone());
+            let t = mb.measure(&mut gpu, shape, &p);
+            assert_eq!(t.to_bits(), clean.to_bits(), "{reason}");
+            assert_eq!(mb.metered_measurements, 0, "{reason}");
+            assert_eq!(
+                pricing_args(&tracer),
+                [(Some("numeric".into()), Some(reason.into()))]
+            );
+            assert!(tracer.counters().contains(&("tuner_evals_numeric", 1)));
+        }
+
+        // A batch class the stability certifier refuses (non-dominant rows
+        // admit a zero Thomas pivot) keeps the numerics, while the same
+        // plan on the dominant tuning batch is admitted.
+        let mut gpu: Gpu<f32> = Gpu::new(dev());
+        let mut session = SolveSession::new(&mut gpu, shape).unwrap();
+        let non_dominant = WorkloadClass::NonDominant { dominance: 0.85 };
+        let refusal = metered_refusal(&gpu, &mut session, &p, non_dominant);
+        assert_eq!(refusal, Some("stability-unproven"));
+        assert_eq!(metered_refusal(&gpu, &mut session, &p, TUNING_CLASS), None);
+    }
+
+    #[test]
+    fn metered_tuning_matches_numeric_tuning_on_the_tune_cold_rotation() {
+        use crate::tuners::DynamicTuner;
+        use trisolve_core::kernels::GpuScalar;
+
+        // Tune on a fresh traced device; return the config, the harness
+        // counters, every launch's stats and the final clock.
+        fn tune<T: GpuScalar>(
+            dev: &DeviceSpec,
+            shape: WorkloadShape,
+            metered: bool,
+        ) -> (crate::TunedConfig, [usize; 3], String, u64) {
+            let mut gpu: Gpu<T> = Gpu::new(dev.clone());
+            gpu.set_tracer(Tracer::enabled());
+            let mut mb: Microbench<T> = Microbench::new();
+            mb.metered = metered;
+            let cfg = DynamicTuner::new().tune_for_with(&mut gpu, shape, &mut mb);
+            let counts = [
+                mb.measurements,
+                mb.pruned_candidates,
+                mb.metered_measurements,
+            ];
+            // Debug prints every f64 in shortest round-trip form, so equal
+            // strings mean equal bits.
+            let launches = format!("{:?}", gpu.timeline());
+            (cfg, counts, launches, gpu.elapsed_s().to_bits())
+        }
+
+        fn check<T: GpuScalar>(dev: &DeviceSpec, shape: WorkloadShape) {
+            let label = format!(
+                "{} {} {}B",
+                dev.queryable().name,
+                shape.label(),
+                elem_bytes::<T>()
+            );
+            let (num_cfg, num_counts, num_launches, num_clock) = tune::<T>(dev, shape, false);
+            let (met_cfg, met_counts, met_launches, met_clock) = tune::<T>(dev, shape, true);
+            assert_eq!(num_cfg, met_cfg, "{label}");
+            assert_eq!(num_counts[..2], met_counts[..2], "{label}: evals, pruned");
+            assert_eq!(num_counts[2], 0, "{label}");
+            // Every candidate that reached the device was metered.
+            assert_eq!(met_counts[2], met_counts[0] - met_counts[1], "{label}");
+            assert_eq!(num_launches, met_launches, "{label}: launches");
+            assert_eq!(num_clock, met_clock, "{label}: clock");
+        }
+
+        // The benchmark's `tune-cold` rotation.
+        for dev in DeviceSpec::paper_devices() {
+            for (m, n) in [(256, 256), (16_384, 64), (4, 65_536)] {
+                check::<f32>(&dev, WorkloadShape::new(m, n));
+                check::<f64>(&dev, WorkloadShape::new(m, n));
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `cargo run --release -p trisolve-bench --bin ablation_repack`
 
 use trisolve_bench::report;
-use trisolve_core::kernels::{base_solve, repack_chains, unpack_solution, CoeffBuffers};
+use trisolve_core::kernels::{base_solve, repack_chains, unpack_solution, CoeffBuffers, Exec};
 use trisolve_core::BaseVariant;
 use trisolve_gpu_sim::{DeviceSpec, Gpu};
 use trisolve_tridiag::workloads::{random_dominant, WorkloadShape};
@@ -49,7 +49,19 @@ fn main() {
             let mut gpu: Gpu<f32> = Gpu::new(device.clone());
             let src = coeffs(&mut gpu, total, &batch);
             let x = gpu.alloc(total).unwrap();
-            base_solve(&mut gpu, src, x, m, n, chain_len, stride, 128, variant).unwrap();
+            base_solve(
+                &mut gpu,
+                Exec::Numeric,
+                src,
+                x,
+                m,
+                n,
+                chain_len,
+                stride,
+                128,
+                variant,
+            )
+            .unwrap();
             gpu.elapsed_s() * 1e3
         };
         let t_strided = run_variant(BaseVariant::Strided);
@@ -67,9 +79,10 @@ fn main() {
             ];
             let xp = gpu.alloc(total).unwrap();
             let xo = gpu.alloc(total).unwrap();
-            repack_chains(&mut gpu, src, packed, m, n, stride).unwrap();
+            repack_chains(&mut gpu, Exec::Numeric, src, packed, m, n, stride).unwrap();
             base_solve(
                 &mut gpu,
+                Exec::Numeric,
                 packed,
                 xp,
                 m * stride,
@@ -80,7 +93,7 @@ fn main() {
                 BaseVariant::Strided,
             )
             .unwrap();
-            unpack_solution(&mut gpu, xp, xo, m, n, stride).unwrap();
+            unpack_solution(&mut gpu, Exec::Numeric, xp, xo, m, n, stride).unwrap();
             gpu.elapsed_s() * 1e3
         };
 

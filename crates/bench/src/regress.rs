@@ -9,15 +9,14 @@
 //! per-metric noise tolerances:
 //!
 //! - **`dynamic_ms`** — the dynamically tuned, resilient solve's
-//!   simulated milliseconds, with a relative tolerance (simulated time
-//!   is deterministic, so the slack only absorbs intentional cost-model
-//!   recalibrations; real slowdowns blow through it).
+//!   simulated milliseconds, held to an **exact** match: simulated time
+//!   is deterministic, so any difference — faster or slower — is a
+//!   behaviour change that needs a deliberate re-baseline.
 //! - **`pipelined_ms`** — the two-stream pipelined solve's simulated
-//!   wall-clock, under the same relative band as `dynamic_ms` (a lost
-//!   overlap or a serialized schedule shows up here first).
-//! - **tuner evaluations** — the dynamic tuner's search cost, with a
-//!   generous relative+absolute band (search-space changes legitimately
-//!   move it a little; a pruning regression doubles it).
+//!   wall-clock, exact like `dynamic_ms` (a lost overlap or a serialized
+//!   schedule shows up here first).
+//! - **tuner evaluations** — the dynamic tuner's search cost, exact too:
+//!   the search is deterministic, so a changed count is a changed search.
 //! - **recovery counters** — `faults_injected`, `retries`, `fallbacks`
 //!   with zero tolerance: a clean benchmark run must stay clean.
 //!
@@ -39,15 +38,11 @@ use trisolve_tridiag::workloads::WorkloadShape;
 
 use crate::snapshot;
 
-/// Per-metric-class noise tolerances for the gate.
+/// Noise tolerances for the gate's banded metrics. The deterministic
+/// workload metrics (`dynamic_ms`, `pipelined_ms`, tuner evaluations)
+/// have none: they must match the baseline exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct Tolerances {
-    /// Allowed relative increase of `dynamic_ms` (0.10 = +10%).
-    pub dynamic_ms_rel: f64,
-    /// Allowed relative increase of tuner evaluations.
-    pub evals_rel: f64,
-    /// Absolute headroom added on top of the evaluation band.
-    pub evals_abs: f64,
     /// Allowed relative increase of the service campaign's end-to-end
     /// p99 latency.
     pub service_p99_rel: f64,
@@ -56,9 +51,6 @@ pub struct Tolerances {
 impl Default for Tolerances {
     fn default() -> Self {
         Self {
-            dynamic_ms_rel: 0.10,
-            evals_rel: 0.5,
-            evals_abs: 2.0,
             service_p99_rel: 0.10,
         }
     }
@@ -73,9 +65,11 @@ pub struct Check {
     pub baseline: f64,
     /// Value measured now.
     pub current: f64,
-    /// Largest `current` the tolerance allows.
+    /// Largest `current` the tolerance allows (for an exact check, the
+    /// baseline itself).
     pub limit: f64,
-    /// True when `current` exceeded the limit.
+    /// True when `current` exceeded the limit — or, for an exact check,
+    /// differs from the baseline in either direction.
     pub regressed: bool,
 }
 
@@ -161,44 +155,36 @@ fn check(metric: &'static str, baseline: f64, current: f64, limit: f64) -> Check
     }
 }
 
+/// A deterministic metric: any difference from the baseline, in either
+/// direction, fails the check.
+fn exact(metric: &'static str, baseline: f64, current: f64) -> Check {
+    Check {
+        regressed: current.to_bits() != baseline.to_bits(),
+        ..check(metric, baseline, current, baseline)
+    }
+}
+
 /// Compare one re-measured record against its baseline workload row.
-pub fn compare_case(
-    baseline: &serde_json::Value,
-    rec: &snapshot::WorkloadRecord,
-    tol: &Tolerances,
-) -> Vec<Check> {
+pub fn compare_case(baseline: &serde_json::Value, rec: &snapshot::WorkloadRecord) -> Vec<Check> {
     let mut checks = Vec::new();
     let num = |key: &str| baseline.get(key).and_then(serde_json::Value::as_f64);
-    if let Some(b) = num("dynamic_ms") {
-        if b.is_finite() && b > 0.0 {
-            checks.push(check(
-                "dynamic_ms",
-                b,
-                rec.dynamic_ms,
-                b * (1.0 + tol.dynamic_ms_rel),
-            ));
-        }
-    }
-    // The pipelined wall-clock gates like `dynamic_ms`: simulated time is
-    // deterministic, so the band only absorbs intentional cost-model or
-    // lowering changes. Absent from pre-pipelining baselines → skipped.
-    if let Some(b) = num("pipelined_ms") {
-        if b.is_finite() && b > 0.0 {
-            checks.push(check(
-                "pipelined_ms",
-                b,
-                rec.pipelined_ms,
-                b * (1.0 + tol.dynamic_ms_rel),
-            ));
+    // Simulated time is deterministic, so both simulated columns must
+    // reproduce the baseline bit for bit; intentional cost-model or
+    // lowering changes re-snapshot it. A column absent from an older
+    // baseline (or recorded as unrunnable) is skipped.
+    let simulated = [
+        ("dynamic_ms", rec.dynamic_ms),
+        ("pipelined_ms", rec.pipelined_ms),
+    ];
+    for (name, current) in simulated {
+        if let Some(b) = num(name) {
+            if b.is_finite() && b > 0.0 {
+                checks.push(exact(name, b, current));
+            }
         }
     }
     if let Some(b) = num("tuner_evaluations") {
-        checks.push(check(
-            "tuner_evaluations",
-            b,
-            rec.tuner_evaluations as f64,
-            b * (1.0 + tol.evals_rel) + tol.evals_abs,
-        ));
+        checks.push(exact("tuner_evaluations", b, rec.tuner_evaluations as f64));
     }
     let counters: [(&'static str, u64); 3] = [
         ("faults_injected", rec.faults_injected),
@@ -324,7 +310,7 @@ pub fn compare_against(
             report.cases.push(CaseOutcome {
                 device: name.to_string(),
                 workload: shape.label(),
-                checks: compare_case(w, &rec, tol),
+                checks: compare_case(w, &rec),
             });
         }
     }

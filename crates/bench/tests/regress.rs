@@ -55,8 +55,23 @@ fn gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
         .any(|(_, k)| k.metric == "dynamic_ms"));
     assert!(report.render().contains("REGRESSED"));
 
+    // Simulated time is deterministic, so the gate is exact both ways: a
+    // baseline that claims the solve used to be a hair *slower* fails
+    // too (an unannounced speedup is a behaviour change).
+    let planted = serde_json::json!({
+        "systems": 64,
+        "size": 512,
+        "dynamic_ms": rec.dynamic_ms * (1.0 + 1e-12),
+        "tuner_evaluations": rec.tuner_evaluations,
+    });
+    let report = compare_against(&baseline_doc(&name, planted), false, &tol).unwrap();
+    assert!(report
+        .regressions()
+        .iter()
+        .any(|(_, k)| k.metric == "dynamic_ms"));
+
     // Planted search blow-up: the baseline claims the tuner used to need
-    // a single evaluation; the generous 1.5x + 2 band still catches it.
+    // a single evaluation.
     let planted = serde_json::json!({
         "systems": 64,
         "size": 512,

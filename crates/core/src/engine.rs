@@ -23,7 +23,7 @@
 
 use crate::kernels::{
     base_solve, deinterleave_solution, elem_bytes, interleave_batch, ithomas_solve, stage1_step,
-    stage2_split, CoeffBuffers, GpuScalar,
+    stage2_split, CoeffBuffers, Exec, GpuScalar,
 };
 use crate::params::SolverParams;
 use crate::plan::{SolvePlan, StageOp};
@@ -537,9 +537,14 @@ impl<T: GpuScalar> SolveSession<T> {
         Ok(())
     }
 
-    /// Run the plan's stage sequence. Returns the simulated time and the
-    /// per-launch stats of this solve only.
-    fn execute(&self, gpu: &mut Gpu<T>, plan: &SolvePlan) -> Result<(f64, Vec<KernelStats>)> {
+    /// Run the plan's stage sequence in `exec` mode. Returns the simulated
+    /// time and the per-launch stats of this solve only.
+    fn execute(
+        &self,
+        gpu: &mut Gpu<T>,
+        plan: &SolvePlan,
+        exec: Exec,
+    ) -> Result<(f64, Vec<KernelStats>)> {
         let m = self.shape.num_systems;
         let np = self.padded_size;
         let mut cur: CoeffBuffers = [
@@ -561,49 +566,9 @@ impl<T: GpuScalar> SolveSession<T> {
         for op in &plan.ops {
             let stage_begin_s = gpu.elapsed_s();
             let stage_launches = gpu.timeline().len();
-            match *op {
-                StageOp::Stage1Split { stride, .. } => {
-                    stage1_step(gpu, cur, alt, m, np, stride)?;
-                    std::mem::swap(&mut cur, &mut alt);
-                }
-                StageOp::Stage2Split {
-                    stride_in, steps, ..
-                } => {
-                    stage2_split(gpu, cur, alt, m, np, stride_in, steps)?;
-                    std::mem::swap(&mut cur, &mut alt);
-                }
-                StageOp::BaseSolve {
-                    chain_len,
-                    stride,
-                    thomas_chains,
-                    variant,
-                    ..
-                } => {
-                    base_solve(
-                        gpu,
-                        cur,
-                        x,
-                        m,
-                        np,
-                        chain_len,
-                        stride,
-                        thomas_chains,
-                        variant,
-                    )?;
-                }
-                StageOp::InterleavePack { systems, size } => {
-                    interleave_batch(gpu, cur, alt, systems, size)?;
-                    std::mem::swap(&mut cur, &mut alt);
-                }
-                StageOp::InterleavedThomas { systems, size } => {
-                    // The interleaved solution lands in the *other* bundle's
-                    // first buffer (free scratch after the pack's swap), so
-                    // the session needs no extra allocation.
-                    ithomas_solve(gpu, cur, alt[0], systems, size)?;
-                }
-                StageOp::Deinterleave { systems, size } => {
-                    deinterleave_solution(gpu, alt[0], x, systems, size)?;
-                }
+            launch_op(gpu, exec, op, cur, alt, x, m, np)?;
+            if op_access(op).2 {
+                std::mem::swap(&mut cur, &mut alt);
             }
             if tracer.is_enabled() {
                 let stage = op.stage_name();
@@ -643,7 +608,7 @@ impl<T: GpuScalar> SolveSession<T> {
         let plan = self.plan_for(params)?.clone();
         let solve_begin_s = gpu.elapsed_s();
         self.upload_coefficients(gpu, batch)?;
-        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan)?;
+        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan, Exec::Numeric)?;
         self.trace_solve_span(gpu, "solve", params, solve_begin_s, kernel_stats.len());
 
         let m = self.shape.num_systems;
@@ -673,10 +638,39 @@ impl<T: GpuScalar> SolveSession<T> {
         params: &SolverParams,
     ) -> Result<f64> {
         self.check_batch(batch)?;
+        self.measure_with(gpu, Some(batch), params)
+    }
+
+    /// Price `params` without computing anything: the plan's launches run
+    /// metered-only ([`Exec::Metered`]), and no coefficients are uploaded
+    /// (synchronous transfers charge no simulated time). The reading is
+    /// bit-identical to [`SolveSession::measure`]'s whenever the numeric
+    /// solve would succeed on the measured batch; ruling out its
+    /// data-dependent failures (numerical breakdown, scattered-write races)
+    /// is the caller's job. Devices with a sanitizer, fault campaign or
+    /// active stream refuse metered launches with a device error.
+    pub fn measure_metered(&mut self, gpu: &mut Gpu<T>, params: &SolverParams) -> Result<f64> {
+        self.measure_with(gpu, None, params)
+    }
+
+    /// [`SolveSession::measure`] on `batch`, or its metered twin without
+    /// one.
+    fn measure_with(
+        &mut self,
+        gpu: &mut Gpu<T>,
+        batch: Option<&SystemBatch<T>>,
+        params: &SolverParams,
+    ) -> Result<f64> {
         let plan = self.plan_for(params)?.clone();
         let solve_begin_s = gpu.elapsed_s();
-        self.upload_coefficients(gpu, batch)?;
-        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan)?;
+        let exec = match batch {
+            Some(batch) => {
+                self.upload_coefficients(gpu, batch)?;
+                Exec::Numeric
+            }
+            None => Exec::Metered,
+        };
+        let (sim_time_s, kernel_stats) = self.execute(gpu, &plan, exec)?;
         self.trace_solve_span(gpu, "measure", params, solve_begin_s, kernel_stats.len());
         Ok(sim_time_s)
     }
@@ -877,46 +871,8 @@ impl<T: GpuScalar> SolveSession<T> {
                         } else {
                             (dst_ids[set], src_ids[set])
                         };
-                        let (_, _, swap) = op_access(&op);
-                        match op {
-                            StageOp::Stage1Split { stride, .. } => {
-                                stage1_step(gpu, cur, alt, m, np, stride)?;
-                            }
-                            StageOp::Stage2Split {
-                                stride_in, steps, ..
-                            } => {
-                                stage2_split(gpu, cur, alt, m, np, stride_in, steps)?;
-                            }
-                            StageOp::BaseSolve {
-                                chain_len,
-                                stride,
-                                thomas_chains,
-                                variant,
-                                ..
-                            } => {
-                                base_solve(
-                                    gpu,
-                                    cur,
-                                    x,
-                                    m,
-                                    np,
-                                    chain_len,
-                                    stride,
-                                    thomas_chains,
-                                    variant,
-                                )?;
-                            }
-                            StageOp::InterleavePack { systems, size } => {
-                                interleave_batch(gpu, cur, alt, systems, size)?;
-                            }
-                            StageOp::InterleavedThomas { systems, size } => {
-                                ithomas_solve(gpu, cur, alt[0], systems, size)?;
-                            }
-                            StageOp::Deinterleave { systems, size } => {
-                                deinterleave_solution(gpu, alt[0], x, systems, size)?;
-                            }
-                        }
-                        if swap {
+                        launch_op(gpu, Exec::Numeric, &op, cur, alt, x, m, np)?;
+                        if op_access(&op).2 {
                             flip_for[batch] = !flip_for[batch];
                         }
                     }
@@ -964,7 +920,7 @@ impl<T: GpuScalar> SolveSession<T> {
                     arg("batches", batches.len()),
                     arg("streams", schedule.streams),
                     arg("nodes", schedule.len()),
-                    arg("wall_ms", wall_s * 1e3),
+                    arg("sim_wall_ms", wall_s * 1e3),
                     arg("serial_ms", serial_s * 1e3),
                     arg("overlap_ratio", ratio),
                 ],
@@ -983,6 +939,67 @@ impl<T: GpuScalar> SolveSession<T> {
             schedule,
         })
     }
+}
+
+/// Launch one plan op in `exec` mode on the current/alternate coefficient
+/// bundles and the solution buffer `x`, in the roles [`op_access`]
+/// declares for it. The caller swaps the bundles when `op_access` says so.
+/// This is the one place a [`StageOp`] becomes a kernel launch: the
+/// synchronous, metered and pipelined paths all go through it.
+#[allow(clippy::too_many_arguments)]
+fn launch_op<T: GpuScalar>(
+    gpu: &mut Gpu<T>,
+    exec: Exec,
+    op: &StageOp,
+    cur: CoeffBuffers,
+    alt: CoeffBuffers,
+    x: trisolve_gpu_sim::BufferId,
+    m: usize,
+    np: usize,
+) -> Result<()> {
+    match *op {
+        StageOp::Stage1Split { stride, .. } => {
+            stage1_step(gpu, exec, cur, alt, m, np, stride)?;
+        }
+        StageOp::Stage2Split {
+            stride_in, steps, ..
+        } => {
+            stage2_split(gpu, exec, cur, alt, m, np, stride_in, steps)?;
+        }
+        StageOp::BaseSolve {
+            chain_len,
+            stride,
+            thomas_chains,
+            variant,
+            ..
+        } => {
+            base_solve(
+                gpu,
+                exec,
+                cur,
+                x,
+                m,
+                np,
+                chain_len,
+                stride,
+                thomas_chains,
+                variant,
+            )?;
+        }
+        StageOp::InterleavePack { systems, size } => {
+            interleave_batch(gpu, exec, cur, alt, systems, size)?;
+        }
+        StageOp::InterleavedThomas { systems, size } => {
+            // The interleaved solution lands in the *other* bundle's first
+            // buffer (free scratch after the pack's swap), so the session
+            // needs no extra allocation.
+            ithomas_solve(gpu, exec, cur, alt[0], systems, size)?;
+        }
+        StageOp::Deinterleave { systems, size } => {
+            deinterleave_solution(gpu, exec, alt[0], x, systems, size)?;
+        }
+    }
+    Ok(())
 }
 
 /// Result of a pipelined multi-batch solve ([`SolveSession::solve_pipelined`]).

@@ -19,11 +19,11 @@
 //! choice empirically with the self-tuner, and so does `trisolve-autotune`.
 
 use crate::error::CoreError;
-use crate::kernels::{elem_bytes, CoeffBuffers, GpuScalar};
+use crate::kernels::{elem_bytes, CoeffBuffers, Exec, GpuScalar};
 use crate::params::{BaseVariant, BASE_KERNEL_REGS_PER_THREAD};
 use crate::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
-use trisolve_gpu_sim::{BufferId, Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{BlockCtx, BufferId, Gpu, KernelStats, LaunchConfig, OutMode};
 use trisolve_tridiag::pcr;
 use trisolve_tridiag::system::ChainView;
 use trisolve_tridiag::thomas::{self, ChainScratch};
@@ -60,6 +60,91 @@ pub fn base_config(
     .with_shared_mem(4 * chain_len * elem_bytes)
 }
 
+/// One block's geometry in the base kernel — everything its meters need.
+struct BaseBlock {
+    chain_len: usize,
+    stride: usize,
+    t4: usize,
+    variant: BaseVariant,
+    /// Shared-memory serialisation per access: 64-bit elements cost two-way
+    /// conflicts on the 32-bit banks (the double-precision penalty of
+    /// §III-A).
+    word_factor: f64,
+}
+
+/// The points of a base-kernel block where its per-block work (numerics
+/// and sanitizer replay) sits between meters and barriers.
+#[derive(Clone, Copy)]
+enum BasePhase {
+    /// Gather the chain and stage it in shared memory.
+    Load,
+    /// The read half of the on-chip PCR step at stride `s`.
+    PcrRead(usize),
+    /// The write half of the current on-chip PCR step.
+    PcrWrite,
+    /// The serial Thomas sweeps, one thread per sub-chain.
+    Thomas,
+    /// Scatter the chain's solution to global memory.
+    Store,
+}
+
+impl BaseBlock {
+    /// The base kernel's per-block meter sequence. `work` runs at each
+    /// [`BasePhase`] before that phase's meters and barriers; when it
+    /// returns `false` (a numerical failure) the block stops there and its
+    /// remaining phases go unmetered.
+    fn run(&self, ctx: &mut BlockCtx, mut work: impl FnMut(&mut BlockCtx, BasePhase) -> bool) {
+        let (chain_len, stride) = (self.chain_len, self.stride);
+        if !work(ctx, BasePhase::Load) {
+            return;
+        }
+        match self.variant {
+            // Interleaved plans never emit a BaseSolve op (the batched-Thomas
+            // family replaces the whole staged pipeline); if one is forced
+            // through anyway the gather behaves like the strided load.
+            BaseVariant::Strided | BaseVariant::Interleaved => {
+                ctx.gmem_read(4 * chain_len, stride);
+            }
+            BaseVariant::Coalesced => {
+                ctx.gmem_read_overfetch(4 * chain_len, stride as f64);
+            }
+        }
+        ctx.sync();
+
+        let mut s = 1usize;
+        for _ in 0..self.t4.trailing_zeros() {
+            work(ctx, BasePhase::PcrRead(s));
+            ctx.smem_conflict(PCR_SMEM_PER_EQ * chain_len, self.word_factor);
+            ctx.ops(PCR_OPS_PER_EQ * chain_len);
+            // The declared shared footprint (4 arrays of one chain each) is
+            // exactly single-buffered, so each PCR step must update the
+            // arrays *in place*: one barrier separates every thread's reads
+            // from the writes...
+            ctx.sync();
+            work(ctx, BasePhase::PcrWrite);
+            // ...and a second one separates the writes from the next step's
+            // reads. The pair is NOT redundant: collapsing it into one
+            // barrier would put thread `j`'s write of row `j` in the same
+            // interval as thread `j∓s`'s read of that row — a read-write
+            // race the sanitizer reports if either sync is removed.
+            ctx.sync();
+            s *= 2;
+        }
+
+        if !work(ctx, BasePhase::Thomas) {
+            return;
+        }
+        ctx.serial_phase(chain_len / self.t4, THOMAS_OPS_PER_EQ, self.t4);
+        ctx.smem_conflict(THOMAS_SMEM_PER_EQ * chain_len, self.word_factor);
+        ctx.sync();
+
+        if !work(ctx, BasePhase::Store) {
+            return;
+        }
+        ctx.gmem_write(chain_len, stride);
+    }
+}
+
 /// Launch the base kernel over every chain of a batch.
 ///
 /// * `m` parent systems of `n` (power-of-two) equations live in `src`,
@@ -69,6 +154,7 @@ pub fn base_config(
 #[allow(clippy::too_many_arguments)]
 pub fn base_solve<T: GpuScalar>(
     gpu: &mut Gpu<T>,
+    exec: Exec,
     src: CoeffBuffers,
     x: BufferId,
     m: usize,
@@ -84,7 +170,6 @@ pub fn base_solve<T: GpuScalar>(
     let chains = m * stride;
     let t4 = thomas_chains.min(chain_len);
     debug_assert!(t4.is_power_of_two());
-    let pcr_steps = t4.trailing_zeros();
 
     let cfg = base_config(
         chains,
@@ -94,164 +179,161 @@ pub fn base_solve<T: GpuScalar>(
         variant,
         elem_bytes::<T>(),
     );
-
-    // Shared-memory accesses serialise per 32-bit word on the banked
-    // register-file-like shared memory: 64-bit elements cost two-way
-    // conflicts (the double-precision penalty of §III-A).
-    let word_factor = f64::max(elem_bytes::<T>() as f64 / 4.0, 1.0);
+    let block = BaseBlock {
+        chain_len,
+        stride,
+        t4,
+        variant,
+        word_factor: f64::max(elem_bytes::<T>() as f64 / 4.0, 1.0),
+    };
+    let meter = |ctx: &mut BlockCtx| block.run(ctx, |_, _| true);
 
     let failed = AtomicBool::new(false);
-    let stats = gpu.launch(&cfg, &src, &[(x, OutMode::Scattered)], |ctx, io| {
-        let bid = ctx.block_id as usize;
-        let parent = bid / stride;
-        let r = bid % stride;
-        let chain = ChainView {
-            offset: parent * n + r,
-            stride,
-            len: chain_len,
-        };
-
-        // ---- Load phase (stage-3 entry) -------------------------------
-        let mut cur = (
-            chain.gather(io.inputs[0]),
-            chain.gather(io.inputs[1]),
-            chain.gather(io.inputs[2]),
-            chain.gather(io.inputs[3]),
-        );
-        match variant {
-            // Interleaved plans never emit a BaseSolve op (the batched-Thomas
-            // family replaces the whole staged pipeline); if one is forced
-            // through anyway the gather behaves like the strided load.
-            BaseVariant::Strided | BaseVariant::Interleaved => {
-                ctx.gmem_read(4 * chain_len, stride);
-            }
-            BaseVariant::Coalesced => {
-                ctx.gmem_read_overfetch(4 * chain_len, stride as f64);
-            }
-        }
-        if ctx.sanitizing() {
-            // Replay the gather through the tracked APIs: thread `j` loads
-            // its four coefficients from global memory and stages them into
-            // the block's shared arrays. Shared layout (matching the
-            // declared `4 * chain_len` element footprint): array `k`
-            // occupies elements `k*chain_len .. (k+1)*chain_len`.
-            for k in 0..4 {
-                for j in 0..chain_len {
-                    let _ = io.load(k, chain.index(j), j, "base::load");
-                    ctx.track_smem_write(k * chain_len + j, j, "base::smem_store");
-                }
-            }
-        }
-        ctx.sync();
-
-        // ---- Stage 3: PCR in shared memory ----------------------------
-        let mut next = (
-            vec![T::ZERO; chain_len],
-            vec![T::ZERO; chain_len],
-            vec![T::ZERO; chain_len],
-            vec![T::ZERO; chain_len],
-        );
-        let mut s = 1usize;
-        for _ in 0..pcr_steps {
-            pcr::pcr_step(
-                s,
-                &cur.0,
-                &cur.1,
-                &cur.2,
-                &cur.3,
-                &mut next.0,
-                &mut next.1,
-                &mut next.2,
-                &mut next.3,
+    let stats = exec.launch(
+        gpu,
+        &cfg,
+        &src,
+        &[(x, OutMode::Scattered)],
+        meter,
+        |ctx, io| {
+            let bid = ctx.block_id as usize;
+            let parent = bid / stride;
+            let r = bid % stride;
+            let chain = ChainView {
+                offset: parent * n + r,
+                stride,
+                len: chain_len,
+            };
+            let mut cur = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let mut next = (
+                vec![T::ZERO; chain_len],
+                vec![T::ZERO; chain_len],
+                vec![T::ZERO; chain_len],
+                vec![T::ZERO; chain_len],
             );
-            std::mem::swap(&mut cur, &mut next);
-            ctx.smem_conflict(PCR_SMEM_PER_EQ * chain_len, word_factor);
-            ctx.ops(PCR_OPS_PER_EQ * chain_len);
-            if ctx.sanitizing() {
-                // Read half of the in-place PCR step: thread `j` reads rows
-                // `j-s`, `j`, `j+s` of every array (clamped at the ends).
-                for j in 0..chain_len {
-                    let lo = j.saturating_sub(s);
-                    let hi = (j + s).min(chain_len - 1);
-                    for k in 0..4 {
-                        ctx.track_smem_read(k * chain_len + lo, j, "base::pcr_read");
-                        ctx.track_smem_read(k * chain_len + j, j, "base::pcr_read");
-                        ctx.track_smem_read(k * chain_len + hi, j, "base::pcr_read");
+            let mut lx = vec![T::ZERO; chain_len];
+            block.run(ctx, |ctx, phase| {
+                match phase {
+                    BasePhase::Load => {
+                        cur = (
+                            chain.gather(io.inputs[0]),
+                            chain.gather(io.inputs[1]),
+                            chain.gather(io.inputs[2]),
+                            chain.gather(io.inputs[3]),
+                        );
+                        if ctx.sanitizing() {
+                            // Replay the gather through the tracked APIs: thread
+                            // `j` loads its four coefficients from global memory
+                            // and stages them into the block's shared arrays.
+                            // Shared layout (matching the declared
+                            // `4 * chain_len` element footprint): array `k`
+                            // occupies elements `k*chain_len .. (k+1)*chain_len`.
+                            for k in 0..4 {
+                                for j in 0..chain_len {
+                                    let _ = io.load(k, chain.index(j), j, "base::load");
+                                    ctx.track_smem_write(k * chain_len + j, j, "base::smem_store");
+                                }
+                            }
+                        }
+                    }
+                    // ---- Stage 3: PCR in shared memory --------------------
+                    BasePhase::PcrRead(s) => {
+                        pcr::pcr_step(
+                            s,
+                            &cur.0,
+                            &cur.1,
+                            &cur.2,
+                            &cur.3,
+                            &mut next.0,
+                            &mut next.1,
+                            &mut next.2,
+                            &mut next.3,
+                        );
+                        std::mem::swap(&mut cur, &mut next);
+                        if ctx.sanitizing() {
+                            // Thread `j` reads rows `j-s`, `j`, `j+s` of every
+                            // array (clamped at the ends).
+                            for j in 0..chain_len {
+                                let lo = j.saturating_sub(s);
+                                let hi = (j + s).min(chain_len - 1);
+                                for k in 0..4 {
+                                    ctx.track_smem_read(k * chain_len + lo, j, "base::pcr_read");
+                                    ctx.track_smem_read(k * chain_len + j, j, "base::pcr_read");
+                                    ctx.track_smem_read(k * chain_len + hi, j, "base::pcr_read");
+                                }
+                            }
+                        }
+                    }
+                    BasePhase::PcrWrite => {
+                        if ctx.sanitizing() {
+                            for j in 0..chain_len {
+                                for k in 0..4 {
+                                    ctx.track_smem_write(k * chain_len + j, j, "base::pcr_write");
+                                }
+                            }
+                        }
+                    }
+                    // ---- Stage 4: Thomas, one thread per chain -------------
+                    BasePhase::Thomas => {
+                        let mut scratch = ChainScratch::new();
+                        for sub in ChainView::chains_of(0, chain_len, t4) {
+                            if thomas::solve_thomas_chain(
+                                &sub,
+                                &cur.0,
+                                &cur.1,
+                                &cur.2,
+                                &cur.3,
+                                &mut lx,
+                                &mut scratch,
+                            )
+                            .is_err()
+                            {
+                                failed.store(true, Ordering::Relaxed);
+                                return false;
+                            }
+                        }
+                        if ctx.sanitizing() {
+                            // Thread `t` owns sub-chain `t` and sweeps it,
+                            // reading all four arrays and overwriting the
+                            // d-array slots with the solution. Chains are
+                            // disjoint, so every element is touched by exactly
+                            // one thread — hazard-free by construction.
+                            for (t, sub) in ChainView::chains_of(0, chain_len, t4)
+                                .into_iter()
+                                .enumerate()
+                            {
+                                for i in 0..sub.len {
+                                    let e = sub.index(i);
+                                    for k in 0..4 {
+                                        ctx.track_smem_read(
+                                            k * chain_len + e,
+                                            t,
+                                            "base::thomas_read",
+                                        );
+                                    }
+                                    ctx.track_smem_write(
+                                        3 * chain_len + e,
+                                        t,
+                                        "base::thomas_write",
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    BasePhase::Store => {
+                        for (j, &v) in lx.iter().enumerate() {
+                            if !v.is_finite() {
+                                failed.store(true, Ordering::Relaxed);
+                                return false;
+                            }
+                            io.scattered[0].set_at(chain.index(j), v, j, "base::store");
+                        }
                     }
                 }
-            }
-            // The declared shared footprint (4 arrays of one chain each) is
-            // exactly single-buffered, so each PCR step must update the
-            // arrays *in place*: one barrier separates every thread's reads
-            // from the writes...
-            ctx.sync();
-            if ctx.sanitizing() {
-                for j in 0..chain_len {
-                    for k in 0..4 {
-                        ctx.track_smem_write(k * chain_len + j, j, "base::pcr_write");
-                    }
-                }
-            }
-            // ...and a second one separates the writes from the next step's
-            // reads. The pair is NOT redundant: collapsing it into one
-            // barrier would put thread `j`'s write of row `j` in the same
-            // interval as thread `j∓s`'s read of that row — a read-write
-            // race the sanitizer reports if either sync is removed.
-            ctx.sync();
-            s *= 2;
-        }
-
-        // ---- Stage 4: Thomas, one thread per chain ---------------------
-        let mut lx = vec![T::ZERO; chain_len];
-        let mut scratch = ChainScratch::new();
-        for sub in ChainView::chains_of(0, chain_len, t4) {
-            if thomas::solve_thomas_chain(
-                &sub,
-                &cur.0,
-                &cur.1,
-                &cur.2,
-                &cur.3,
-                &mut lx,
-                &mut scratch,
-            )
-            .is_err()
-            {
-                failed.store(true, Ordering::Relaxed);
-                return;
-            }
-        }
-        ctx.serial_phase(chain_len / t4, THOMAS_OPS_PER_EQ, t4);
-        ctx.smem_conflict(THOMAS_SMEM_PER_EQ * chain_len, word_factor);
-        if ctx.sanitizing() {
-            // Thomas replay: thread `t` owns sub-chain `t` and sweeps it,
-            // reading all four arrays and overwriting the d-array slots
-            // with the solution. Chains are disjoint, so every element is
-            // touched by exactly one thread — hazard-free by construction.
-            for (t, sub) in ChainView::chains_of(0, chain_len, t4)
-                .into_iter()
-                .enumerate()
-            {
-                for i in 0..sub.len {
-                    let e = sub.index(i);
-                    for k in 0..4 {
-                        ctx.track_smem_read(k * chain_len + e, t, "base::thomas_read");
-                    }
-                    ctx.track_smem_write(3 * chain_len + e, t, "base::thomas_write");
-                }
-            }
-        }
-        ctx.sync();
-
-        // ---- Store phase ----------------------------------------------
-        for (j, &v) in lx.iter().enumerate() {
-            if !v.is_finite() {
-                failed.store(true, Ordering::Relaxed);
-                return;
-            }
-            io.scattered[0].set_at(chain.index(j), v, j, "base::store");
-        }
-        ctx.gmem_write(chain_len, stride);
-    })?;
+                true
+            });
+        },
+    )?;
 
     if failed.load(Ordering::Relaxed) {
         return Err(CoreError::NumericalBreakdown {
@@ -286,7 +368,19 @@ mod tests {
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
         let src = coeffs(&mut gpu, &batch);
         let x = gpu.alloc(shape.total_equations()).unwrap();
-        base_solve(&mut gpu, src, x, 20, 256, 256, 1, 64, BaseVariant::Strided).unwrap();
+        base_solve(
+            &mut gpu,
+            Exec::Numeric,
+            src,
+            x,
+            20,
+            256,
+            256,
+            1,
+            64,
+            BaseVariant::Strided,
+        )
+        .unwrap();
         let got = gpu.download(x).unwrap();
         let expect = solve_batch_sequential(&batch, BatchAlgorithm::Thomas).unwrap();
         for (u, v) in got.iter().zip(&expect) {
@@ -325,7 +419,19 @@ mod tests {
                 gpu.alloc_from(&d).unwrap(),
             ];
             let x = gpu.alloc(total).unwrap();
-            base_solve(&mut gpu, src, x, 3, 1024, 256, 4, 32, variant).unwrap();
+            base_solve(
+                &mut gpu,
+                Exec::Numeric,
+                src,
+                x,
+                3,
+                1024,
+                256,
+                4,
+                32,
+                variant,
+            )
+            .unwrap();
             let got = gpu.download(x).unwrap();
             assert!(
                 batch_worst_relative_residual(&batch, &got).unwrap() < 1e-10,
@@ -342,7 +448,19 @@ mod tests {
             let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
             let src = coeffs(&mut gpu, &batch);
             let x = gpu.alloc(shape.total_equations()).unwrap();
-            base_solve(&mut gpu, src, x, 2, 4096, 512, 8, 64, variant).unwrap()
+            base_solve(
+                &mut gpu,
+                Exec::Numeric,
+                src,
+                x,
+                2,
+                4096,
+                512,
+                8,
+                64,
+                variant,
+            )
+            .unwrap()
         };
         let s = run(BaseVariant::Strided);
         let c = run(BaseVariant::Coalesced);
@@ -366,7 +484,19 @@ mod tests {
             gpu.alloc_from(&batch.d).unwrap(),
         ];
         let x = gpu.alloc(shape.total_equations()).unwrap();
-        base_solve(&mut gpu, src, x, 10, 512, 512, 1, 64, BaseVariant::Strided).unwrap();
+        base_solve(
+            &mut gpu,
+            Exec::Numeric,
+            src,
+            x,
+            10,
+            512,
+            512,
+            1,
+            64,
+            BaseVariant::Strided,
+        )
+        .unwrap();
         let got = gpu.download(x).unwrap();
         assert!(batch_worst_relative_residual(&batch, &got).unwrap() < 1e-4);
     }
@@ -385,12 +515,36 @@ mod tests {
             g32.alloc_from(&b32.d).unwrap(),
         ];
         let x = g32.alloc(shape.total_equations()).unwrap();
-        let s32 = base_solve(&mut g32, src, x, 4, 256, 256, 1, 64, BaseVariant::Strided).unwrap();
+        let s32 = base_solve(
+            &mut g32,
+            Exec::Numeric,
+            src,
+            x,
+            4,
+            256,
+            256,
+            1,
+            64,
+            BaseVariant::Strided,
+        )
+        .unwrap();
 
         let mut g64: Gpu<f64> = Gpu::new(DeviceSpec::gtx_280());
         let src = coeffs(&mut g64, &b64);
         let x = g64.alloc(shape.total_equations()).unwrap();
-        let s64 = base_solve(&mut g64, src, x, 4, 256, 256, 1, 64, BaseVariant::Strided).unwrap();
+        let s64 = base_solve(
+            &mut g64,
+            Exec::Numeric,
+            src,
+            x,
+            4,
+            256,
+            256,
+            1,
+            64,
+            BaseVariant::Strided,
+        )
+        .unwrap();
 
         assert_eq!(s32.totals.smem_conflict_accesses, 0.0);
         assert!(s64.totals.smem_conflict_accesses > 0.0);
@@ -414,7 +568,18 @@ mod tests {
             gpu.alloc_from(&d).unwrap(),
         ];
         let x = gpu.alloc(n).unwrap();
-        let err = base_solve(&mut gpu, src, x, 1, 64, 64, 1, 16, BaseVariant::Strided);
+        let err = base_solve(
+            &mut gpu,
+            Exec::Numeric,
+            src,
+            x,
+            1,
+            64,
+            64,
+            1,
+            16,
+            BaseVariant::Strided,
+        );
         assert!(matches!(err, Err(CoreError::NumericalBreakdown { .. })));
     }
 
@@ -426,7 +591,18 @@ mod tests {
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
         let src = coeffs(&mut gpu, &batch);
         let x = gpu.alloc(2048).unwrap();
-        let err = base_solve(&mut gpu, src, x, 1, 2048, 2048, 1, 64, BaseVariant::Strided);
+        let err = base_solve(
+            &mut gpu,
+            Exec::Numeric,
+            src,
+            x,
+            1,
+            2048,
+            2048,
+            1,
+            64,
+            BaseVariant::Strided,
+        );
         assert!(err.is_err());
     }
 }

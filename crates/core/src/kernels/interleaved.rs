@@ -27,11 +27,11 @@
 
 use crate::error::CoreError;
 use crate::kernels::base::THOMAS_OPS_PER_EQ;
-use crate::kernels::{elem_bytes, CoeffBuffers, GpuScalar};
+use crate::kernels::{elem_bytes, CoeffBuffers, Exec, GpuScalar};
 use crate::params::SPLIT_KERNEL_REGS_PER_THREAD;
 use crate::Result;
 use std::sync::atomic::{AtomicBool, Ordering};
-use trisolve_gpu_sim::{BufferId, Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{BlockCtx, BufferId, Gpu, KernelStats, LaunchConfig, OutMode};
 use trisolve_tridiag::system::ChainView;
 use trisolve_tridiag::thomas::{self, ChainScratch};
 
@@ -80,6 +80,39 @@ pub fn deinterleave_config(m: usize, n: usize, elem_bytes: usize) -> LaunchConfi
     .with_shared_mem(32 * 33 * elem_bytes)
 }
 
+/// The interleave pass's per-block meter sequence: the four arrays of one
+/// system of `n` equations through the padded tile.
+fn interleave_meter(ctx: &mut BlockCtx, n: usize) {
+    ctx.gmem_read(4 * n, 1);
+    ctx.gmem_write(4 * n, 1);
+    ctx.smem(2 * TRANSPOSE_SMEM_PER_EQ * 4 * n);
+    ctx.sync();
+    ctx.sync();
+}
+
+/// The batched-Thomas solve's per-block meter sequence for a block whose
+/// threads own `count` systems of `n` equations: the coalesced coefficient
+/// load, the forward-coefficient round trip through global scratch and the
+/// solution store — all stride 1 across the warp's adjacent systems — and
+/// one serial Thomas sweep pair per thread, `n` dependent steps each.
+fn ithomas_meter(ctx: &mut BlockCtx, n: usize, count: usize) {
+    ctx.gmem_read(4 * n * count, 1);
+    ctx.gmem_write(2 * n * count, 1);
+    ctx.gmem_read(2 * n * count, 1);
+    ctx.gmem_write(n * count, 1);
+    ctx.serial_phase(n, THOMAS_OPS_PER_EQ, count);
+}
+
+/// The deinterleave pass's per-block meter sequence: one system's
+/// solution of `n` elements through the padded tile.
+fn deinterleave_meter(ctx: &mut BlockCtx, n: usize) {
+    ctx.gmem_read(n, 1);
+    ctx.gmem_write(n, 1);
+    ctx.smem(TRANSPOSE_SMEM_PER_EQ * n);
+    ctx.sync();
+    ctx.sync();
+}
+
 /// Repack the four coefficient arrays from system-major layout (`src`,
 /// system `s` contiguous at `s·n`) into fully interleaved layout (`dst`,
 /// element `j` of system `s` at `j·m + s`) with a tiled shared-memory
@@ -87,6 +120,7 @@ pub fn deinterleave_config(m: usize, n: usize, elem_bytes: usize) -> LaunchConfi
 /// (bank-conflict-free) 32×33 tile.
 pub fn interleave_batch<T: GpuScalar>(
     gpu: &mut Gpu<T>,
+    exec: Exec,
     src: CoeffBuffers,
     dst: CoeffBuffers,
     m: usize,
@@ -94,7 +128,8 @@ pub fn interleave_batch<T: GpuScalar>(
 ) -> Result<KernelStats> {
     let cfg = interleave_config(m, n, elem_bytes::<T>());
     let outputs: Vec<_> = dst.iter().map(|&b| (b, OutMode::Scattered)).collect();
-    let stats = gpu.launch(&cfg, &src, &outputs, |ctx, io| {
+    let meter = |ctx: &mut BlockCtx| interleave_meter(ctx, n);
+    exec.launch(gpu, &cfg, &src, &outputs, meter, |ctx, io| {
         let s = ctx.block_id as usize;
         // Tracked copy: logical thread `j` owns element `j` of system `s`.
         // The padded tile's internal staging is not replayed per element
@@ -105,13 +140,8 @@ pub fn interleave_batch<T: GpuScalar>(
                 io.scattered[k].set_at(j * m + s, v, j, "interleave::scatter");
             }
         }
-        ctx.gmem_read(4 * n, 1);
-        ctx.gmem_write(4 * n, 1);
-        ctx.smem(2 * TRANSPOSE_SMEM_PER_EQ * 4 * n);
-        ctx.sync();
-        ctx.sync();
-    })?;
-    Ok(stats)
+        meter(ctx);
+    })
 }
 
 /// Solve the whole interleaved batch with one kernel: thread `s` runs the
@@ -124,6 +154,7 @@ pub fn interleave_batch<T: GpuScalar>(
 /// metered coalesced like every other access of this kernel.
 pub fn ithomas_solve<T: GpuScalar>(
     gpu: &mut Gpu<T>,
+    exec: Exec,
     src: CoeffBuffers,
     x_interleaved: BufferId,
     m: usize,
@@ -131,18 +162,23 @@ pub fn ithomas_solve<T: GpuScalar>(
 ) -> Result<KernelStats> {
     let cfg = ithomas_config(m, n, elem_bytes::<T>());
     let block = cfg.block_threads;
+    // Block `b`'s threads own systems `first..first + count`; the grid is
+    // sized so that every block owns at least one.
+    let systems_of = |ctx: &BlockCtx| {
+        let first = ctx.block_id as usize * block;
+        (first, block.min(m.saturating_sub(first)))
+    };
+    let meter = |ctx: &mut BlockCtx| ithomas_meter(ctx, n, systems_of(ctx).1);
 
     let failed = AtomicBool::new(false);
-    let stats = gpu.launch(
+    let stats = exec.launch(
+        gpu,
         &cfg,
         &src,
         &[(x_interleaved, OutMode::Scattered)],
+        meter,
         |ctx, io| {
-            let first = ctx.block_id as usize * block;
-            let count = block.min(m.saturating_sub(first));
-            if count == 0 {
-                return;
-            }
+            let (first, count) = systems_of(ctx);
             let mut lx = vec![T::ZERO; n];
             let mut scratch = ChainScratch::new();
             for t in 0..count {
@@ -194,16 +230,7 @@ pub fn ithomas_solve<T: GpuScalar>(
                     io.scattered[0].set_at(chain.index(j), v, t, "ithomas::store");
                 }
             }
-            // Coalesced coefficient load, forward-coefficient round trip
-            // through global scratch, and the solution store — all stride 1
-            // across the warp's adjacent systems.
-            ctx.gmem_read(4 * n * count, 1);
-            ctx.gmem_write(2 * n * count, 1);
-            ctx.gmem_read(2 * n * count, 1);
-            ctx.gmem_write(n * count, 1);
-            // One serial Thomas sweep pair per system, `count` systems in
-            // flight per block: each thread walks `n` dependent steps.
-            ctx.serial_phase(n, THOMAS_OPS_PER_EQ, count);
+            meter(ctx);
         },
     )?;
 
@@ -220,30 +247,29 @@ pub fn ithomas_solve<T: GpuScalar>(
 /// through the same padded tile as [`interleave_batch`].
 pub fn deinterleave_solution<T: GpuScalar>(
     gpu: &mut Gpu<T>,
+    exec: Exec,
     x_interleaved: BufferId,
     x_out: BufferId,
     m: usize,
     n: usize,
 ) -> Result<KernelStats> {
     let cfg = deinterleave_config(m, n, elem_bytes::<T>());
-    let stats = gpu.launch(
+    let meter = |ctx: &mut BlockCtx| deinterleave_meter(ctx, n);
+    exec.launch(
+        gpu,
         &cfg,
         &[x_interleaved],
         &[(x_out, OutMode::Scattered)],
+        meter,
         |ctx, io| {
             let s = ctx.block_id as usize;
             for j in 0..n {
                 let v = io.load(0, j * m + s, j, "deinterleave::load");
                 io.scattered[0].set_at(s * n + j, v, j, "deinterleave::scatter");
             }
-            ctx.gmem_read(n, 1);
-            ctx.gmem_write(n, 1);
-            ctx.smem(TRANSPOSE_SMEM_PER_EQ * n);
-            ctx.sync();
-            ctx.sync();
+            meter(ctx);
         },
-    )?;
-    Ok(stats)
+    )
 }
 
 #[cfg(test)]
@@ -281,7 +307,7 @@ mod tests {
         let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
         let src = coeffs(&mut gpu, &batch);
         let dst = alloc4(&mut gpu, m * n);
-        interleave_batch(&mut gpu, src, dst, m, n).unwrap();
+        interleave_batch(&mut gpu, Exec::Numeric, src, dst, m, n).unwrap();
         let out = gpu.download(dst[3]).unwrap();
         for s in 0..m {
             for j in 0..n {
@@ -300,9 +326,9 @@ mod tests {
             let dst = alloc4(&mut gpu, m * n);
             let xi = gpu.alloc(m * n).unwrap();
             let x = gpu.alloc(m * n).unwrap();
-            interleave_batch(&mut gpu, src, dst, m, n).unwrap();
-            ithomas_solve(&mut gpu, dst, xi, m, n).unwrap();
-            deinterleave_solution(&mut gpu, xi, x, m, n).unwrap();
+            interleave_batch(&mut gpu, Exec::Numeric, src, dst, m, n).unwrap();
+            ithomas_solve(&mut gpu, Exec::Numeric, dst, xi, m, n).unwrap();
+            deinterleave_solution(&mut gpu, Exec::Numeric, xi, x, m, n).unwrap();
             let got = gpu.download(x).unwrap();
             let expect = solve_batch_sequential(&batch, BatchAlgorithm::Lu).unwrap();
             let res = batch_worst_relative_residual(&batch, &got).unwrap();
@@ -321,8 +347,8 @@ mod tests {
         let src = coeffs(&mut gpu, &batch);
         let dst = alloc4(&mut gpu, m * n);
         let xi = gpu.alloc(m * n).unwrap();
-        interleave_batch(&mut gpu, src, dst, m, n).unwrap();
-        let stats = ithomas_solve(&mut gpu, dst, xi, m, n).unwrap();
+        interleave_batch(&mut gpu, Exec::Numeric, src, dst, m, n).unwrap();
+        let stats = ithomas_solve(&mut gpu, Exec::Numeric, dst, xi, m, n).unwrap();
         assert_eq!(stats.totals.coalescing_efficiency(), 1.0);
         assert_eq!(stats.totals.smem_accesses, 0.0);
         assert_eq!(stats.totals.barriers, 0.0);
@@ -339,9 +365,9 @@ mod tests {
         let dst = alloc4(&mut gpu, m * n);
         let xi = gpu.alloc(m * n).unwrap();
         let x = gpu.alloc(m * n).unwrap();
-        interleave_batch(&mut gpu, src, dst, m, n).unwrap();
-        ithomas_solve(&mut gpu, dst, xi, m, n).unwrap();
-        deinterleave_solution(&mut gpu, xi, x, m, n).unwrap();
+        interleave_batch(&mut gpu, Exec::Numeric, src, dst, m, n).unwrap();
+        ithomas_solve(&mut gpu, Exec::Numeric, dst, xi, m, n).unwrap();
+        deinterleave_solution(&mut gpu, Exec::Numeric, xi, x, m, n).unwrap();
         let got = gpu.download(x).unwrap();
         assert!(batch_worst_relative_residual(&batch, &got).unwrap() < 1e-10);
     }
@@ -366,9 +392,9 @@ mod tests {
         ];
         let xi = gpu.alloc(m * n).unwrap();
         let x = gpu.alloc(m * n).unwrap();
-        interleave_batch(&mut gpu, src, dst, m, n).unwrap();
-        ithomas_solve(&mut gpu, dst, xi, m, n).unwrap();
-        deinterleave_solution(&mut gpu, xi, x, m, n).unwrap();
+        interleave_batch(&mut gpu, Exec::Numeric, src, dst, m, n).unwrap();
+        ithomas_solve(&mut gpu, Exec::Numeric, dst, xi, m, n).unwrap();
+        deinterleave_solution(&mut gpu, Exec::Numeric, xi, x, m, n).unwrap();
         let got = gpu.download(x).unwrap();
         assert!(batch_worst_relative_residual(&batch, &got).unwrap() < 1e-4);
     }
@@ -390,7 +416,7 @@ mod tests {
             gpu.alloc_from(&d).unwrap(),
         ];
         let xi = gpu.alloc(m * n).unwrap();
-        let err = ithomas_solve(&mut gpu, src, xi, m, n);
+        let err = ithomas_solve(&mut gpu, Exec::Numeric, src, xi, m, n);
         assert!(matches!(err, Err(CoreError::NumericalBreakdown { .. })));
     }
 

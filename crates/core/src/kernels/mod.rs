@@ -6,6 +6,15 @@
 //! arithmetic and synchronisation so the simulator can time it. The metering
 //! calls are the performance model of the real CUDA kernels; the analytic
 //! expectations they encode are checked by the tests in this module tree.
+//!
+//! Every meter call takes launch-shape arguments only, never data, so a
+//! launch's simulated cost is a pure function of its shape. Each kernel
+//! family therefore states its per-block meter sequence once, in a plain
+//! function of the block context and the launch geometry, and runs it in
+//! one of two [`Exec`] modes: inside the numeric kernel, interleaved with
+//! the arithmetic, or alone through
+//! [`Gpu::launch_metered`](trisolve_gpu_sim::Gpu::launch_metered). Both
+//! modes call the same function, so their `KernelStats` cannot drift.
 
 pub mod access;
 pub mod base;
@@ -37,7 +46,10 @@ pub use repack::{repack_chains, repack_config, unpack_config, unpack_solution};
 pub use stage1::{stage1_config, stage1_step};
 pub use stage2::{stage2_config, stage2_split};
 
-use trisolve_gpu_sim::Element;
+use crate::Result;
+use trisolve_gpu_sim::{
+    BlockCtx, BlockIo, BufferId, Element, Gpu, KernelStats, LaunchConfig, OutMode,
+};
 use trisolve_tridiag::Scalar;
 
 /// Scalars usable on the simulated GPU (`f32`, `f64`).
@@ -53,3 +65,36 @@ pub fn elem_bytes<T: GpuScalar>() -> usize {
 
 /// The four coefficient buffers `(a, b, c, d)` as one handle bundle.
 pub type CoeffBuffers = [trisolve_gpu_sim::BufferId; 4];
+
+/// How a kernel launch runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exec {
+    /// Compute the results and meter the work (the only mode that writes
+    /// output buffers).
+    Numeric,
+    /// Run only the kernel's per-block meter sequence: identical
+    /// `KernelStats` and simulated clock, output buffers untouched. Exact
+    /// only when the numeric launch would succeed — no numerical breakdown,
+    /// no scattered-write race or out-of-bounds write — which the caller
+    /// must have proved.
+    Metered,
+}
+
+impl Exec {
+    /// Launch `cfg` in this mode: `kernel` (numerics plus meters) through
+    /// [`Gpu::launch`], or `meter` alone through [`Gpu::launch_metered`].
+    pub(crate) fn launch<T: GpuScalar>(
+        self,
+        gpu: &mut Gpu<T>,
+        cfg: &LaunchConfig,
+        inputs: &[BufferId],
+        outputs: &[(BufferId, OutMode)],
+        meter: impl Fn(&mut BlockCtx),
+        kernel: impl Fn(&mut BlockCtx, &mut BlockIo<'_, T>) + Sync,
+    ) -> Result<KernelStats> {
+        Ok(match self {
+            Exec::Numeric => gpu.launch(cfg, inputs, outputs, kernel)?,
+            Exec::Metered => gpu.launch_metered(cfg, inputs, outputs, meter)?,
+        })
+    }
+}

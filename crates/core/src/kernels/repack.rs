@@ -10,10 +10,10 @@
 //! workload-dependent tradeoff the paper's self-tuner exists to settle —
 //! `ablation_repack` measures the three-way crossover.
 
-use crate::kernels::{CoeffBuffers, GpuScalar};
+use crate::kernels::{CoeffBuffers, Exec, GpuScalar};
 use crate::params::SPLIT_KERNEL_REGS_PER_THREAD;
 use crate::Result;
-use trisolve_gpu_sim::{BufferId, Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{BlockCtx, BufferId, Gpu, KernelStats, LaunchConfig, OutMode};
 use trisolve_tridiag::system::ChainView;
 
 /// Shared-memory accesses per element of a tiled transpose (one write into
@@ -47,6 +47,27 @@ pub fn unpack_config(m: usize, n: usize, stride: usize, elem_bytes: usize) -> La
     .with_shared_mem(32 * 33 * elem_bytes)
 }
 
+/// The repack pass's per-block meter sequence: a tiled transpose of the
+/// four arrays of one chain of `chain_len` equations, both global sides
+/// coalesced, staged through a padded (bank-conflict-free) shared tile.
+fn repack_meter(ctx: &mut BlockCtx, chain_len: usize) {
+    ctx.gmem_read(4 * chain_len, 1);
+    ctx.gmem_write(4 * chain_len, 1);
+    ctx.smem(2 * TRANSPOSE_SMEM_PER_EQ * 4 * chain_len);
+    ctx.sync();
+    ctx.sync();
+}
+
+/// The unpack pass's per-block meter sequence: one chain's solution of
+/// `chain_len` elements through the same tile.
+fn unpack_meter(ctx: &mut BlockCtx, chain_len: usize) {
+    ctx.gmem_read(chain_len, 1);
+    ctx.gmem_write(chain_len, 1);
+    ctx.smem(TRANSPOSE_SMEM_PER_EQ * chain_len);
+    ctx.sync();
+    ctx.sync();
+}
+
 /// Repack the four coefficient arrays from interleaved chains (stride `k`
 /// inside each parent of `n` equations) into chain-major contiguous layout:
 /// chain `c` of parent `p` lands at `(p*k + c) * (n/k)`.
@@ -55,6 +76,7 @@ pub fn unpack_config(m: usize, n: usize, stride: usize, elem_bytes: usize) -> La
 /// kernel runs with unit stride (fully coalesced loads and stores).
 pub fn repack_chains<T: GpuScalar>(
     gpu: &mut Gpu<T>,
+    exec: Exec,
     src: CoeffBuffers,
     dst: CoeffBuffers,
     m: usize,
@@ -69,7 +91,8 @@ pub fn repack_chains<T: GpuScalar>(
         .iter()
         .map(|&b| (b, OutMode::Chunked { chunk: chain_len }))
         .collect();
-    let stats = gpu.launch(&cfg, &src, &outputs, |ctx, io| {
+    let meter = |ctx: &mut BlockCtx| repack_meter(ctx, chain_len);
+    exec.launch(gpu, &cfg, &src, &outputs, meter, |ctx, io| {
         let bid = ctx.block_id as usize;
         let parent = bid / stride;
         let r = bid % stride;
@@ -87,21 +110,15 @@ pub fn repack_chains<T: GpuScalar>(
                 io.store(k, j, v, j, "repack::store");
             }
         }
-        // Tiled transpose: both global sides coalesced, staged through a
-        // padded (bank-conflict-free) shared tile.
-        ctx.gmem_read(4 * chain_len, 1);
-        ctx.gmem_write(4 * chain_len, 1);
-        ctx.smem(2 * TRANSPOSE_SMEM_PER_EQ * 4 * chain_len);
-        ctx.sync();
-        ctx.sync();
-    })?;
-    Ok(stats)
+        meter(ctx);
+    })
 }
 
 /// Transpose a chain-major solution vector back to the original
 /// (interleaved) equation order.
 pub fn unpack_solution<T: GpuScalar>(
     gpu: &mut Gpu<T>,
+    exec: Exec,
     x_chain_major: BufferId,
     x_out: BufferId,
     m: usize,
@@ -112,10 +129,13 @@ pub fn unpack_solution<T: GpuScalar>(
     let chain_len = n / stride;
     let cfg = unpack_config(m, n, stride, std::mem::size_of::<T>());
 
-    let stats = gpu.launch(
+    let meter = |ctx: &mut BlockCtx| unpack_meter(ctx, chain_len);
+    exec.launch(
+        gpu,
         &cfg,
         &[x_chain_major],
         &[(x_out, OutMode::Scattered)],
+        meter,
         |ctx, io| {
             let bid = ctx.block_id as usize;
             let parent = bid / stride;
@@ -129,14 +149,9 @@ pub fn unpack_solution<T: GpuScalar>(
                 let v = io.load(0, bid * chain_len + j, j, "unpack::load");
                 io.scattered[0].set_at(chain.index(j), v, j, "unpack::scatter");
             }
-            ctx.gmem_read(chain_len, 1);
-            ctx.gmem_write(chain_len, 1);
-            ctx.smem(TRANSPOSE_SMEM_PER_EQ * chain_len);
-            ctx.sync();
-            ctx.sync();
+            meter(ctx);
         },
-    )?;
-    Ok(stats)
+    )
 }
 
 #[cfg(test)]
@@ -192,10 +207,11 @@ mod tests {
         let x_packed = gpu.alloc(total).unwrap();
         let x_out = gpu.alloc(total).unwrap();
 
-        repack_chains(&mut gpu, src, packed, m, n, stride).unwrap();
+        repack_chains(&mut gpu, Exec::Numeric, src, packed, m, n, stride).unwrap();
         // Repacked chains are contiguous systems of chain_len.
         base_solve(
             &mut gpu,
+            Exec::Numeric,
             packed,
             x_packed,
             m * stride,
@@ -206,7 +222,7 @@ mod tests {
             BaseVariant::Strided,
         )
         .unwrap();
-        unpack_solution(&mut gpu, x_packed, x_out, m, n, stride).unwrap();
+        unpack_solution(&mut gpu, Exec::Numeric, x_packed, x_out, m, n, stride).unwrap();
 
         let x = gpu.download(x_out).unwrap();
         let res = batch_worst_relative_residual(&batch, &x).unwrap();
@@ -230,7 +246,7 @@ mod tests {
             gpu.alloc(m * n).unwrap(),
             gpu.alloc(m * n).unwrap(),
         ];
-        let stats = repack_chains(&mut gpu, src, dst, m, n, stride).unwrap();
+        let stats = repack_chains(&mut gpu, Exec::Numeric, src, dst, m, n, stride).unwrap();
         // The whole point: no transaction waste despite the stride.
         assert_eq!(stats.totals.coalescing_efficiency(), 1.0);
         assert!(stats.totals.smem_accesses > 0.0);
@@ -252,7 +268,7 @@ mod tests {
         let mut gpu: Gpu<f32> = Gpu::new(DeviceSpec::gtx_470());
         let src = gpu.alloc_from(&chain_major).unwrap();
         let dst = gpu.alloc(m * n).unwrap();
-        unpack_solution(&mut gpu, src, dst, m, n, stride).unwrap();
+        unpack_solution(&mut gpu, Exec::Numeric, src, dst, m, n, stride).unwrap();
         let out = gpu.download(dst).unwrap();
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as f32);

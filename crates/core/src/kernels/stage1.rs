@@ -8,10 +8,10 @@
 //! fixed cost (launch overhead) is exactly why the paper leaves stage 1 as
 //! soon as there are enough independent systems (§III-C).
 
-use crate::kernels::{CoeffBuffers, GpuScalar};
+use crate::kernels::{CoeffBuffers, Exec, GpuScalar};
 use crate::params::{SPLIT_KERNEL_REGS_PER_THREAD, SPLIT_KERNEL_THREADS};
 use crate::Result;
-use trisolve_gpu_sim::{BlockIo, Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{BlockCtx, BlockIo, Gpu, KernelStats, LaunchConfig, OutMode};
 
 /// Per-equation thread-operations of one PCR row update.
 pub const PCR_OPS_PER_EQ: usize = 12;
@@ -42,11 +42,22 @@ pub fn stage1_config(m: usize, n: usize, stride: usize) -> LaunchConfig {
     .with_regs(SPLIT_KERNEL_REGS_PER_THREAD)
 }
 
+/// Stage 1's per-block meter sequence: every block updates one `chunk` of
+/// rows with the neighbour loads staged through shared memory.
+fn stage1_meter(ctx: &mut BlockCtx, chunk: usize) {
+    ctx.gmem_read_staged(PCR_LOADS_PER_EQ * chunk, PCR_UNIQUE_LOADS_PER_EQ * chunk, 1);
+    ctx.gmem_write(PCR_STORES_PER_EQ * chunk, 1);
+    ctx.smem(PCR_STAGING_SMEM_PER_EQ * chunk);
+    ctx.ops(PCR_OPS_PER_EQ * chunk);
+    ctx.sync();
+}
+
 /// Launch one cooperative splitting step: PCR at `stride` over a batch of
 /// `m` systems of `n` (power-of-two) equations, reading `src` and writing
 /// `dst`.
 pub fn stage1_step<T: GpuScalar>(
     gpu: &mut Gpu<T>,
+    exec: Exec,
     src: CoeffBuffers,
     dst: CoeffBuffers,
     m: usize,
@@ -62,7 +73,8 @@ pub fn stage1_step<T: GpuScalar>(
         .map(|&b| (b, OutMode::Chunked { chunk }))
         .collect();
 
-    let stats = gpu.launch(&cfg, &src, &outputs, |ctx, io| {
+    let meter = |ctx: &mut BlockCtx| stage1_meter(ctx, chunk);
+    exec.launch(gpu, &cfg, &src, &outputs, meter, |ctx, io| {
         let base = ctx.block_id as usize * chunk;
         // Fetch a full row, treating indices outside this equation's system
         // as identity rows (b = 1, everything else 0). Logical thread `tid`
@@ -94,13 +106,8 @@ pub fn stage1_step<T: GpuScalar>(
             io.store(2, i, gamma * cp, i, "stage1::store");
             io.store(3, i, di + alpha * dm + gamma * dp, i, "stage1::store");
         }
-        ctx.gmem_read_staged(PCR_LOADS_PER_EQ * chunk, PCR_UNIQUE_LOADS_PER_EQ * chunk, 1);
-        ctx.gmem_write(PCR_STORES_PER_EQ * chunk, 1);
-        ctx.smem(PCR_STAGING_SMEM_PER_EQ * chunk);
-        ctx.ops(PCR_OPS_PER_EQ * chunk);
-        ctx.sync();
-    })?;
-    Ok(stats)
+        meter(ctx);
+    })
 }
 
 #[cfg(test)]
@@ -133,7 +140,7 @@ mod tests {
             gpu.alloc(total).unwrap(),
         ];
         for stride in [1usize, 2, 4] {
-            stage1_step(&mut gpu, src, dst, 3, 2048, stride).unwrap();
+            stage1_step(&mut gpu, Exec::Numeric, src, dst, 3, 2048, stride).unwrap();
             // CPU reference: apply one PCR step per system.
             for s in 0..3 {
                 let sys = batch.system(s).unwrap();
@@ -178,7 +185,7 @@ mod tests {
             gpu.alloc(total).unwrap(),
             gpu.alloc(total).unwrap(),
         ];
-        let stats = stage1_step(&mut gpu, src, dst, 4, 1024, 1).unwrap();
+        let stats = stage1_step(&mut gpu, Exec::Numeric, src, dst, 4, 1024, 1).unwrap();
         let expect_read = (PCR_UNIQUE_LOADS_PER_EQ * total * 8) as f64;
         let expect_write = (PCR_STORES_PER_EQ * total * 8) as f64;
         assert_eq!(stats.totals.gmem_read_bytes, expect_read);
@@ -208,8 +215,8 @@ mod tests {
             gpu.alloc(4096).unwrap(),
             gpu.alloc(4096).unwrap(),
         ];
-        stage1_step(&mut gpu, src, dst, 1, 4096, 1).unwrap();
-        stage1_step(&mut gpu, dst, src, 1, 4096, 2).unwrap();
+        stage1_step(&mut gpu, Exec::Numeric, src, dst, 1, 4096, 1).unwrap();
+        stage1_step(&mut gpu, Exec::Numeric, dst, src, 1, 4096, 2).unwrap();
         assert_eq!(gpu.timeline().len(), 2);
     }
 }

@@ -18,10 +18,10 @@ use crate::kernels::stage1::{
     PCR_LOADS_PER_EQ, PCR_OPS_PER_EQ, PCR_STAGING_SMEM_PER_EQ, PCR_STORES_PER_EQ,
     PCR_UNIQUE_LOADS_PER_EQ,
 };
-use crate::kernels::{CoeffBuffers, GpuScalar};
+use crate::kernels::{CoeffBuffers, Exec, GpuScalar};
 use crate::params::{SPLIT_KERNEL_REGS_PER_THREAD, SPLIT_KERNEL_THREADS};
 use crate::Result;
-use trisolve_gpu_sim::{Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{BlockCtx, Gpu, KernelStats, LaunchConfig, OutMode};
 use trisolve_tridiag::pcr;
 use trisolve_tridiag::system::ChainView;
 
@@ -38,6 +38,24 @@ pub fn stage2_config(m: usize, n: usize, stride_in: usize, steps: u32) -> Launch
     .with_regs(SPLIT_KERNEL_REGS_PER_THREAD)
 }
 
+/// Stage 2's per-block meter sequence: `steps` PCR steps over one chain of
+/// `chain_len` equations at parent stride `stride_in`. The real kernel
+/// streams the chain through global memory every step (it exceeds shared
+/// capacity by construction).
+fn stage2_meter(ctx: &mut BlockCtx, chain_len: usize, stride_in: usize, steps: u32) {
+    for _ in 0..steps {
+        ctx.gmem_read_staged(
+            PCR_LOADS_PER_EQ * chain_len,
+            PCR_UNIQUE_LOADS_PER_EQ * chain_len,
+            stride_in,
+        );
+        ctx.gmem_write(PCR_STORES_PER_EQ * chain_len, stride_in);
+        ctx.smem(PCR_STAGING_SMEM_PER_EQ * chain_len);
+        ctx.ops(PCR_OPS_PER_EQ * chain_len);
+        ctx.sync();
+    }
+}
+
 /// Launch the independent splitting stage.
 ///
 /// * `m` parent systems of `n` equations (power of two) live in `src`.
@@ -48,6 +66,7 @@ pub fn stage2_config(m: usize, n: usize, stride_in: usize, steps: u32) -> Launch
 #[allow(clippy::too_many_arguments)]
 pub fn stage2_split<T: GpuScalar>(
     gpu: &mut Gpu<T>,
+    exec: Exec,
     src: CoeffBuffers,
     dst: CoeffBuffers,
     m: usize,
@@ -63,7 +82,8 @@ pub fn stage2_split<T: GpuScalar>(
 
     let outputs: Vec<_> = dst.iter().map(|&b| (b, OutMode::Scattered)).collect();
 
-    let stats = gpu.launch(&cfg, &src, &outputs, |ctx, io| {
+    let meter = |ctx: &mut BlockCtx| stage2_meter(ctx, chain_len, stride_in, steps);
+    exec.launch(gpu, &cfg, &src, &outputs, meter, |ctx, io| {
         let bid = ctx.block_id as usize;
         let parent = bid / stride_in;
         let r = bid % stride_in;
@@ -113,18 +133,8 @@ pub fn stage2_split<T: GpuScalar>(
             );
             std::mem::swap(&mut cur, &mut next);
             local_stride *= 2;
-            // The real kernel streams the chain through global memory every
-            // step (it exceeds shared capacity by construction).
-            ctx.gmem_read_staged(
-                PCR_LOADS_PER_EQ * chain_len,
-                PCR_UNIQUE_LOADS_PER_EQ * chain_len,
-                stride_in,
-            );
-            ctx.gmem_write(PCR_STORES_PER_EQ * chain_len, stride_in);
-            ctx.smem(PCR_STAGING_SMEM_PER_EQ * chain_len);
-            ctx.ops(PCR_OPS_PER_EQ * chain_len);
-            ctx.sync();
         }
+        meter(ctx);
         // Scatter the final coefficients to the chain's parent positions.
         for j in 0..chain_len {
             let g = chain.index(j);
@@ -133,8 +143,7 @@ pub fn stage2_split<T: GpuScalar>(
             io.scattered[2].set_at(g, cur.2[j], j, "stage2::scatter");
             io.scattered[3].set_at(g, cur.3[j], j, "stage2::scatter");
         }
-    })?;
-    Ok(stats)
+    })
 }
 
 #[cfg(test)]
@@ -173,7 +182,7 @@ mod tests {
         let mut gpu = gpu470();
         let src = coeffs(&mut gpu, &batch);
         let dst = fresh(&mut gpu, shape.total_equations());
-        stage2_split(&mut gpu, src, dst, 4, 1024, 1, 2).unwrap();
+        stage2_split(&mut gpu, Exec::Numeric, src, dst, 4, 1024, 1, 2).unwrap();
 
         let gb = gpu.download(dst[1]).unwrap();
         let gd = gpu.download(dst[3]).unwrap();
@@ -197,15 +206,15 @@ mod tests {
         let mut g1 = gpu470();
         let src = coeffs(&mut g1, &batch);
         let dst = fresh(&mut g1, 2048);
-        stage2_split(&mut g1, src, dst, 1, 2048, 1, 2).unwrap();
+        stage2_split(&mut g1, Exec::Numeric, src, dst, 1, 2048, 1, 2).unwrap();
         let direct_b = g1.download(dst[1]).unwrap();
 
         let mut g2 = gpu470();
         let src2 = coeffs(&mut g2, &batch);
         let mid = fresh(&mut g2, 2048);
         let fin = fresh(&mut g2, 2048);
-        stage2_split(&mut g2, src2, mid, 1, 2048, 1, 1).unwrap();
-        stage2_split(&mut g2, mid, fin, 1, 2048, 2, 1).unwrap();
+        stage2_split(&mut g2, Exec::Numeric, src2, mid, 1, 2048, 1, 1).unwrap();
+        stage2_split(&mut g2, Exec::Numeric, mid, fin, 1, 2048, 2, 1).unwrap();
         let composed_b = g2.download(fin[1]).unwrap();
 
         for i in 0..2048 {
@@ -225,7 +234,7 @@ mod tests {
         let mut gpu = gpu470();
         let src = coeffs(&mut gpu, &batch);
         let dst = fresh(&mut gpu, shape.total_equations());
-        stage2_split(&mut gpu, src, dst, 8, 4096, 1, 3).unwrap();
+        stage2_split(&mut gpu, Exec::Numeric, src, dst, 8, 4096, 1, 3).unwrap();
         assert_eq!(gpu.timeline().len(), 1);
     }
 
@@ -238,7 +247,7 @@ mod tests {
         let mut g1 = gpu470();
         let src = coeffs(&mut g1, &batch);
         let dst = fresh(&mut g1, 4096);
-        let s1 = stage2_split(&mut g1, src, dst, 1, 4096, 1, 1).unwrap();
+        let s1 = stage2_split(&mut g1, Exec::Numeric, src, dst, 1, 4096, 1, 1).unwrap();
         // Contiguous chains: only the missed fraction of the redundant
         // neighbour streams costs anything.
         assert!(s1.totals.coalescing_efficiency() > 0.7);
@@ -249,7 +258,7 @@ mod tests {
         // Pre-split on the CPU so the data is meaningful (not required for
         // the traffic check, but keeps the kernel numerically sensible).
         let dst2 = fresh(&mut g2, 4096);
-        let s2 = stage2_split(&mut g2, src2, dst2, 1, 4096, 8, 1).unwrap();
+        let s2 = stage2_split(&mut g2, Exec::Numeric, src2, dst2, 1, 4096, 8, 1).unwrap();
         assert!(s2.totals.coalescing_efficiency() < 0.5);
     }
 
@@ -263,6 +272,6 @@ mod tests {
         gpu.race_check = true;
         let src = coeffs(&mut gpu, &batch);
         let dst = fresh(&mut gpu, 2048);
-        stage2_split(&mut gpu, src, dst, 2, 1024, 4, 1).unwrap();
+        stage2_split(&mut gpu, Exec::Numeric, src, dst, 2, 1024, 4, 1).unwrap();
     }
 }

@@ -798,22 +798,7 @@ impl<E: Element> Gpu<E> {
         // Validate the launch shape before touching any buffer.
         timing::residency(&self.spec, cfg)?;
 
-        // No id may appear as both input and output, or twice as an output.
-        for (oid, _) in outputs {
-            if inputs.contains(oid) {
-                return Err(SimError::InvalidLaunch {
-                    detail: format!(
-                        "buffer {} is both input and output; double-buffer instead",
-                        oid.0
-                    ),
-                });
-            }
-            if outputs.iter().filter(|(o, _)| o == oid).count() > 1 {
-                return Err(SimError::InvalidLaunch {
-                    detail: format!("buffer {} appears twice as an output", oid.0),
-                });
-            }
-        }
+        check_aliasing(inputs, outputs)?;
 
         // Fault hook: a transient launch failure or watchdog timeout aborts
         // here — the kernel never runs, buffers are untouched and the
@@ -891,6 +876,78 @@ impl<E: Element> Gpu<E> {
                 self.track_async(stream, &cfg.label, "launch", inputs, outputs);
             }
         }
+        self.timeline.push(stats.clone());
+        Ok(stats)
+    }
+
+    /// Launch a kernel for its cost alone: the *metered-only* twin of
+    /// [`Gpu::launch`].
+    ///
+    /// Everything of a launch that does not depend on buffer contents runs
+    /// exactly as in [`Gpu::launch`]: residency and launch validation, the
+    /// buffer-id, in/out-aliasing and chunk-size checks, the timing model,
+    /// the timeline entry, the simulated clock and the trace span. What is
+    /// dropped is the data: per block only `meter` runs, in block order on
+    /// the calling thread, and no output buffer is touched (no take and
+    /// restore, no scattered-write claim map).
+    ///
+    /// When `meter` feeds a block's [`BlockCtx`] the same meter calls the
+    /// numeric kernel makes, the returned [`KernelStats`] and the clock
+    /// advance are bit-identical to [`Gpu::launch`]'s. The data-dependent
+    /// outcomes of a launch — a [`SimError::WriteRace`], a scattered-write
+    /// panic, a kernel's own failure flag — cannot be observed here; the
+    /// caller must have ruled them out. Devices with a sanitizer, a fault
+    /// campaign or an active stream are refused with
+    /// [`SimError::InvalidLaunch`], since those hooks act on data or on
+    /// stream state this path does not model.
+    pub fn launch_metered<M>(
+        &mut self,
+        cfg: &LaunchConfig,
+        inputs: &[BufferId],
+        outputs: &[(BufferId, OutMode)],
+        meter: M,
+    ) -> Result<KernelStats, SimError>
+    where
+        M: Fn(&mut BlockCtx),
+    {
+        if self.sanitizer.is_some() || self.faults.is_some() || self.active_stream.is_some() {
+            return Err(SimError::InvalidLaunch {
+                detail: format!(
+                    "metered launch of {} needs a device without sanitizer, fault \
+                     campaign or active stream",
+                    cfg.label
+                ),
+            });
+        }
+        self.reclaim();
+        timing::residency(&self.spec, cfg)?;
+        check_aliasing(inputs, outputs)?;
+        // Same checks, in the same order, as the take / view / partition
+        // steps of a numeric launch.
+        let output_lens: Vec<usize> = outputs
+            .iter()
+            .map(|(oid, _)| self.view(*oid).map(<[E]>::len))
+            .collect::<Result<_, _>>()?;
+        for id in inputs {
+            self.view(*id)?;
+        }
+        for ((_, mode), len) in outputs.iter().zip(output_lens) {
+            if let OutMode::Chunked { chunk } = mode {
+                check_chunk(*chunk, len, cfg.grid_blocks)?;
+            }
+        }
+        let counters: Vec<CostCounters> = (0..cfg.grid_blocks)
+            .map(|b| {
+                let mut ctx = BlockCtx::new(b as u32, cfg.block_threads, &self.spec, E::BYTES);
+                meter(&mut ctx);
+                ctx.into_counters()
+            })
+            .collect();
+        let stats = timing::kernel_time(&self.spec, cfg, &counters)?;
+        if self.tracer.is_enabled() {
+            self.trace_launch(&stats, None, "gpu", self.elapsed_s * 1e6);
+        }
+        self.elapsed_s += stats.total_time_s();
         self.timeline.push(stats.clone());
         Ok(stats)
     }
@@ -1071,15 +1128,7 @@ impl<E: Element> Gpu<E> {
         for (oid, mode, buf) in taken.iter_mut() {
             match mode {
                 OutMode::Chunked { chunk } => {
-                    if *chunk == 0 || buf.len() < *chunk * grid {
-                        return Err(SimError::InvalidLaunch {
-                            detail: format!(
-                                "chunked output too small: len {} < chunk {} x grid {grid}",
-                                buf.len(),
-                                chunk
-                            ),
-                        });
-                    }
+                    check_chunk(*chunk, buf.len(), grid)?;
                     order.push(Slot::Chunked);
                     chunked_meta.push((oid.0, *chunk, buf.len()));
                     chunk_iters.push((*chunk, buf.chunks_mut(*chunk)));
@@ -1247,6 +1296,36 @@ impl<E: Element> Gpu<E> {
             output_inits,
         }
     }
+}
+
+/// No id may appear as both input and output, or twice as an output.
+fn check_aliasing(inputs: &[BufferId], outputs: &[(BufferId, OutMode)]) -> Result<(), SimError> {
+    for (oid, _) in outputs {
+        if inputs.contains(oid) {
+            return Err(SimError::InvalidLaunch {
+                detail: format!(
+                    "buffer {} is both input and output; double-buffer instead",
+                    oid.0
+                ),
+            });
+        }
+        if outputs.iter().filter(|(o, _)| o == oid).count() > 1 {
+            return Err(SimError::InvalidLaunch {
+                detail: format!("buffer {} appears twice as an output", oid.0),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// A chunked output must give every block of the grid a non-empty chunk.
+fn check_chunk(chunk: usize, len: usize, grid: usize) -> Result<(), SimError> {
+    if chunk == 0 || len < chunk * grid {
+        return Err(SimError::InvalidLaunch {
+            detail: format!("chunked output too small: len {len} < chunk {chunk} x grid {grid}"),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1979,5 +2058,101 @@ mod tests {
         let id = g.alloc_from(&[1.0f64, 2.0]).unwrap();
         assert_eq!(g.allocated_bytes(), 16);
         assert_eq!(g.download(id).unwrap(), vec![1.0, 2.0]);
+    }
+
+    /// A two-output kernel (one chunked, one scattered) whose per-block
+    /// meters vary with the block id, split into its meter sequence and
+    /// its numeric body the way the solver kernels are.
+    fn metered_pair_meter(ctx: &mut BlockCtx) {
+        let b = ctx.block_id as usize;
+        ctx.gmem_read(64 + b, 1);
+        ctx.gmem_write(64, 4);
+        ctx.smem_conflict(32 * (b + 1), 2.0);
+        ctx.serial_phase(8, 3, 16 + b);
+        ctx.sync();
+    }
+
+    fn metered_pair_setup(g: &mut Gpu<f32>) -> (BufferId, BufferId, BufferId, LaunchConfig) {
+        let src = g.alloc_from(&[1.5f32; 256]).unwrap();
+        let chunked = g.alloc(256).unwrap();
+        let scattered = g.alloc(256).unwrap();
+        (
+            src,
+            chunked,
+            scattered,
+            LaunchConfig::new("pair[test]", 4, 64),
+        )
+    }
+
+    #[test]
+    fn metered_launch_matches_numeric_stats_and_clock_bit_for_bit() {
+        let outputs = |c, s| [(c, OutMode::Chunked { chunk: 64 }), (s, OutMode::Scattered)];
+        let mut num = gpu();
+        let (src, c, s, cfg) = metered_pair_setup(&mut num);
+        let a = num
+            .launch(&cfg, &[src], &outputs(c, s), |ctx, io| {
+                let b = ctx.block_id as usize;
+                for i in 0..64 {
+                    io.owned[0][i] = io.inputs[0][b * 64 + i] * 2.0;
+                    io.scattered[0].set(255 - (b * 64 + i), 1.0);
+                }
+                metered_pair_meter(ctx);
+            })
+            .unwrap();
+
+        let mut met = gpu();
+        let tracer = Tracer::enabled();
+        met.set_tracer(tracer.clone());
+        let (src, c, s, cfg) = metered_pair_setup(&mut met);
+        let b = met
+            .launch_metered(&cfg, &[src], &outputs(c, s), metered_pair_meter)
+            .unwrap();
+        // Debug prints every f64 in shortest round-trip form, so equal
+        // strings mean equal bits.
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(num.elapsed_s().to_bits(), met.elapsed_s().to_bits());
+        assert_eq!(met.timeline().len(), 1);
+        // The data is untouched, and the launch is traced like any other.
+        assert!(met.view(c).unwrap().iter().all(|&v| v == 0.0));
+        assert!(met.view(s).unwrap().iter().all(|&v| v == 0.0));
+        assert!(tracer.counters().contains(&("launches", 1)));
+    }
+
+    #[test]
+    fn metered_launch_validates_like_a_numeric_launch() {
+        let mut g = gpu();
+        let (src, c, _, cfg) = metered_pair_setup(&mut g);
+        let aliased = g.launch_metered(&cfg, &[src], &[(src, OutMode::Scattered)], |_| {});
+        assert!(matches!(aliased, Err(SimError::InvalidLaunch { .. })));
+        let small = [(c, OutMode::Chunked { chunk: 128 })];
+        let too_small = g.launch_metered(&cfg, &[src], &small, |_| {});
+        assert!(matches!(too_small, Err(SimError::InvalidLaunch { .. })));
+        g.free(c).unwrap();
+        let freed = g.launch_metered(&cfg, &[src], &[(c, OutMode::Scattered)], |_| {});
+        assert!(matches!(freed, Err(SimError::InvalidBuffer { .. })));
+        let huge = LaunchConfig::new("huge", 1, 1 << 20);
+        assert!(g.launch_metered(&huge, &[src], &[], |_| {}).is_err());
+        // No failed launch advanced the clock or the profile.
+        assert_eq!(g.elapsed_s(), 0.0);
+        assert!(g.timeline().is_empty());
+    }
+
+    #[test]
+    fn metered_launch_refuses_devices_with_data_or_stream_hooks() {
+        let refused = |g: &mut Gpu<f32>| {
+            let (src, c, _, cfg) = metered_pair_setup(g);
+            let r = g.launch_metered(&cfg, &[src], &[(c, OutMode::Scattered)], |_| {});
+            matches!(r, Err(SimError::InvalidLaunch { .. }))
+        };
+        assert!(refused(&mut Gpu::with_sanitizer(DeviceSpec::gtx_470())));
+        let plan = FaultPlan::seeded(1).with_launch_failures(0.5);
+        assert!(refused(&mut Gpu::with_faults(DeviceSpec::gtx_470(), plan)));
+        let mut streamed = gpu();
+        let streams = streamed.enable_streams(2);
+        streamed.set_stream(Some(streams[1]));
+        assert!(refused(&mut streamed));
+        // Streams enabled but none active: the synchronous path is fine.
+        streamed.set_stream(None);
+        assert!(!refused(&mut streamed));
     }
 }

@@ -40,19 +40,72 @@ pub fn pcr_step<T: Scalar>(
 ) {
     let n = src_b.len();
     debug_assert!(stride >= 1);
-    for i in 0..n {
+    // Rows `lo..hi` have both stride-`s` neighbours in range; only the rows
+    // outside that range substitute identity rows.
+    let lo = stride.min(n);
+    let hi = n.saturating_sub(stride).max(lo);
+    for i in (0..lo).chain(hi..n) {
         let (row_m, row_p) = neighbor_rows(i, stride, n, src_a, src_b, src_c, src_d);
-        let (am, bm, cm, dm) = row_m;
-        let (ap, bp, cp, dp) = row_p;
-
-        let alpha = -src_a[i] / bm;
-        let gamma = -src_c[i] / bp;
-
-        dst_a[i] = alpha * am;
-        dst_b[i] = src_b[i] + alpha * cm + gamma * ap;
-        dst_c[i] = gamma * cp;
-        dst_d[i] = src_d[i] + alpha * dm + gamma * dp;
+        let own = (src_a[i], src_b[i], src_c[i], src_d[i]);
+        (dst_a[i], dst_b[i], dst_c[i], dst_d[i]) = pcr_row(own, row_m, row_p);
     }
+    if hi == lo {
+        return;
+    }
+    // The interior, sliced so that element `k` of every view belongs to
+    // equation `lo + k`, its lower or its upper neighbour: the hot loop
+    // carries no identity branch and no bounds check.
+    let (m, p) = (lo - stride, lo + stride);
+    let len = hi - lo;
+    let (am, bm, cm, dm) = (
+        &src_a[m..m + len],
+        &src_b[m..m + len],
+        &src_c[m..m + len],
+        &src_d[m..m + len],
+    );
+    let (ap, bp, cp, dp) = (
+        &src_a[p..p + len],
+        &src_b[p..p + len],
+        &src_c[p..p + len],
+        &src_d[p..p + len],
+    );
+    let (a, b, c, d) = (
+        &src_a[lo..hi],
+        &src_b[lo..hi],
+        &src_c[lo..hi],
+        &src_d[lo..hi],
+    );
+    let (oa, ob, oc, od) = (
+        &mut dst_a[lo..hi],
+        &mut dst_b[lo..hi],
+        &mut dst_c[lo..hi],
+        &mut dst_d[lo..hi],
+    );
+    for k in 0..len {
+        (oa[k], ob[k], oc[k], od[k]) = pcr_row(
+            (a[k], b[k], c[k], d[k]),
+            (am[k], bm[k], cm[k], dm[k]),
+            (ap[k], bp[k], cp[k], dp[k]),
+        );
+    }
+}
+
+/// One PCR row update: equation `(a, b, c, d)` eliminates its couplings to
+/// the lower neighbour row `m` and the upper neighbour row `p`.
+#[inline(always)]
+fn pcr_row<T: Scalar>(
+    (a, b, c, d): (T, T, T, T),
+    (am, bm, cm, dm): (T, T, T, T),
+    (ap, bp, cp, dp): (T, T, T, T),
+) -> (T, T, T, T) {
+    let alpha = -a / bm;
+    let gamma = -c / bp;
+    (
+        alpha * am,
+        b + alpha * cm + gamma * ap,
+        gamma * cp,
+        d + alpha * dm + gamma * dp,
+    )
 }
 
 #[inline]
@@ -216,6 +269,39 @@ pub fn pcr_flops(n: usize, steps: u32) -> usize {
 mod tests {
     use super::*;
     use crate::thomas::solve_thomas;
+
+    #[test]
+    fn step_matches_the_per_row_update_bit_for_bit() {
+        // The step splits rows into an identity-substituting rim and a
+        // branch-free interior; both must be exactly the per-row update,
+        // for every size/stride relation (including stride >= n).
+        let val = |i: usize, k: usize| (((i * 7 + k * 13) % 17) as f32 - 8.0) * 0.37 + 0.01;
+        for n in 1..40usize {
+            let src: Vec<Vec<f32>> = (0..4)
+                .map(|k| {
+                    (0..n)
+                        .map(|i| val(i, k) + if k == 1 { 9.0 } else { 0.0 })
+                        .collect()
+                })
+                .collect();
+            for stride in [1usize, 2, 3, 4, 7, 16, 32, 64] {
+                let mut dst = vec![vec![0.0f32; n]; 4];
+                let [da, db, dc, dd] = &mut dst[..] else {
+                    unreachable!()
+                };
+                pcr_step(stride, &src[0], &src[1], &src[2], &src[3], da, db, dc, dd);
+                for i in 0..n {
+                    let (m, p) = neighbor_rows(i, stride, n, &src[0], &src[1], &src[2], &src[3]);
+                    let own = (src[0][i], src[1][i], src[2][i], src[3][i]);
+                    let (ea, eb, ec, ed) = pcr_row(own, m, p);
+                    let got = [dst[0][i], dst[1][i], dst[2][i], dst[3][i]];
+                    let want = [ea, eb, ec, ed];
+                    let bits = |v: [f32; 4]| v.map(f32::to_bits);
+                    assert_eq!(bits(got), bits(want), "n={n} stride={stride} row {i}");
+                }
+            }
+        }
+    }
 
     fn dominant(n: usize, scale: f64) -> TridiagonalSystem<f64> {
         let mut a = vec![-1.0; n];

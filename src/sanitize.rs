@@ -24,7 +24,7 @@
 use trisolve_autotune::{StaticTuner, Tuner};
 use trisolve_core::engine::SolveSession;
 use trisolve_core::kernels::{
-    baseline_solve, elem_bytes, repack_chains, unpack_solution, BaselineAlgo, GpuScalar,
+    baseline_solve, elem_bytes, repack_chains, unpack_solution, BaselineAlgo, Exec, GpuScalar,
 };
 use trisolve_core::{BaseVariant, SolverParams};
 use trisolve_gpu_sim::{
@@ -328,10 +328,12 @@ fn repack_case<T: GpuScalar>(dev: &DeviceSpec, precision: &str) -> Result<CaseRe
         gpu.alloc(m * n).map_err(err)?,
         gpu.alloc(m * n).map_err(err)?,
     ];
-    repack_chains(&mut gpu, src, dst, m, n, stride).map_err(|e| format!("{label}: {e}"))?;
+    repack_chains(&mut gpu, Exec::Numeric, src, dst, m, n, stride)
+        .map_err(|e| format!("{label}: {e}"))?;
     // Unpack the repacked right-hand side as a stand-in solution vector.
     let x_out = gpu.alloc(m * n).map_err(err)?;
-    unpack_solution(&mut gpu, dst[3], x_out, m, n, stride).map_err(|e| format!("{label}: {e}"))?;
+    unpack_solution(&mut gpu, Exec::Numeric, dst[3], x_out, m, n, stride)
+        .map_err(|e| format!("{label}: {e}"))?;
     let report = gpu.take_sanitizer_report().expect("sanitizer is on");
     Ok(report_case(label, report.launches_checked, &report))
 }

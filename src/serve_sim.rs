@@ -26,6 +26,7 @@
 //! integration tests and the CLI subcommand all run the same code.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use trisolve_gpu_sim::FaultPlan;
 use trisolve_serve::{generate, LoadProfile, ServiceStats, SolveService, StormWindow};
@@ -135,10 +136,20 @@ pub fn gate(o: &ServeOutcome) -> Vec<String> {
     v
 }
 
-/// Where a campaign for `seed` persists its plan database. Deleted before
-/// a run so the warm-up is genuinely cold.
-fn campaign_db_path(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("trisolve-serve-sim-db-{seed}.json"))
+/// Where a campaign for `profile` persists its plan database. Deleted
+/// before a run so the warm-up is genuinely cold, and after it. The name is
+/// unique per campaign — seed, chaos flag, process id and a per-process
+/// sequence number — so campaigns running at the same time (parallel tests,
+/// concurrent CLI runs) never share a file.
+fn campaign_db_path(profile: &LoadProfile) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let seq = NEXT.fetch_add(1, Ordering::Relaxed);
+    let chaos = if profile.chaos { "-chaos" } else { "" };
+    std::env::temp_dir().join(format!(
+        "trisolve-serve-sim-db-{}{chaos}-{}-{seq}.json",
+        profile.seed,
+        std::process::id()
+    ))
 }
 
 /// Run a service campaign: generate the seeded request stream, warm the
@@ -147,7 +158,7 @@ fn campaign_db_path(seed: u64) -> PathBuf {
 /// the warm start crossed the restart. Deterministic per profile.
 pub fn campaign(profile: &LoadProfile) -> Result<ServeOutcome, String> {
     let workload = generate(profile);
-    let db_path = campaign_db_path(profile.seed);
+    let db_path = campaign_db_path(profile);
     let _ = std::fs::remove_file(&db_path);
 
     let mut config = workload.config.clone();
@@ -163,6 +174,8 @@ pub fn campaign(profile: &LoadProfile) -> Result<ServeOutcome, String> {
     let mut restarted = SolveService::new(config);
     let restart_db_origin = restarted.plan_db().origin().label().to_string();
     let restart_warm_evals = restarted.warm_plan_db(&workload.combos);
+    drop(restarted);
+    let _ = std::fs::remove_file(&db_path);
 
     Ok(ServeOutcome {
         profile: *profile,
