@@ -5,8 +5,7 @@
 //! The gate re-runs [`crate::snapshot::measure_workload`] for every
 //! (device, systems, size) case named in the baseline — it does not
 //! trust the current grid to match the baseline's (quick grids shrink
-//! workload dimensions) — and compares three metric classes under
-//! per-metric noise tolerances:
+//! workload dimensions) — and compares these metric classes:
 //!
 //! - **`dynamic_ms`** — the dynamically tuned, resilient solve's
 //!   simulated milliseconds, held to an **exact** match: simulated time
@@ -26,9 +25,10 @@
 //! holds its **shed and recovery counters to zero tolerance** (lost
 //! requests, deadline misses, cost-bound violations, every shed reason,
 //! breaker trips and reopens, CPU-reference recoveries, steady-state
-//! tuner evaluations) plus a relative band on the end-to-end p99
-//! latency. The campaign is deterministic per seed, so any drift is a
-//! real behavior change: intentional ones re-snapshot the baseline.
+//! tuner evaluations) and its **end-to-end p99 latency to an exact
+//! match**. That latency is simulated time, so it is deterministic per
+//! seed like `dynamic_ms`. Any drift is a real behavior change:
+//! intentional ones re-snapshot the baseline.
 //!
 //! Wall-clock columns (`*_wall_ms`) are host-time telemetry and are
 //! never gated. Metrics absent from an older baseline are skipped.
@@ -37,24 +37,6 @@ use trisolve_gpu_sim::DeviceSpec;
 use trisolve_tridiag::workloads::WorkloadShape;
 
 use crate::snapshot;
-
-/// Noise tolerances for the gate's banded metrics. The deterministic
-/// workload metrics (`dynamic_ms`, `pipelined_ms`, tuner evaluations)
-/// have none: they must match the baseline exactly.
-#[derive(Debug, Clone, Copy)]
-pub struct Tolerances {
-    /// Allowed relative increase of the service campaign's end-to-end
-    /// p99 latency.
-    pub service_p99_rel: f64,
-}
-
-impl Default for Tolerances {
-    fn default() -> Self {
-        Self {
-            service_p99_rel: 0.10,
-        }
-    }
-}
 
 /// One compared metric within a case.
 #[derive(Debug, Clone)]
@@ -200,10 +182,10 @@ pub fn compare_case(baseline: &serde_json::Value, rec: &snapshot::WorkloadRecord
 }
 
 /// Replay the baseline's recorded service campaign and hold its shed and
-/// recovery counters to zero tolerance (plus a relative band on the
-/// end-to-end p99 latency). Returns `None` when the section carries no
-/// replayable spec.
-pub fn compare_service(service: &serde_json::Value, tol: &Tolerances) -> Option<CaseOutcome> {
+/// recovery counters to zero tolerance and its end-to-end p99 latency to
+/// an exact match. Returns `None` when the section carries no replayable
+/// spec.
+pub fn compare_service(service: &serde_json::Value) -> Option<CaseOutcome> {
     let spec = service.get("spec")?;
     let profile = trisolve_serve::LoadProfile {
         requests: spec.get("requests")?.as_u64()? as usize,
@@ -240,14 +222,10 @@ pub fn compare_service(service: &serde_json::Value, tol: &Tolerances) -> Option<
     // plan-database warm start is the whole point, whatever the baseline
     // happened to record.
     checks.push(check("tuner_evals", 0.0, s.tuner_evals as f64, 0.0));
+    // The p99 is simulated time, deterministic per seed: exact both ways.
     if let Some(b) = num("e2e_p99_ms") {
         if b.is_finite() && b > 0.0 {
-            checks.push(check(
-                "e2e_p99_ms",
-                b,
-                s.e2e_ms.p99_ms,
-                b * (1.0 + tol.service_p99_rel),
-            ));
+            checks.push(exact("e2e_p99_ms", b, s.e2e_ms.p99_ms));
         }
     }
     Some(CaseOutcome {
@@ -263,16 +241,12 @@ pub fn compare_service(service: &serde_json::Value, tol: &Tolerances) -> Option<
 }
 
 /// Run the gate: re-measure every workload case the baseline document
-/// recorded and compare under `tol`. With `quick`, only the first
-/// device's first two workloads are re-measured (the smoke-test budget).
+/// recorded and compare. With `quick`, only the first device's first two
+/// workloads are re-measured (the smoke-test budget).
 ///
 /// Errors when the document has no comparable case at all — a vacuous
 /// gate must not pass silently.
-pub fn compare_against(
-    baseline: &serde_json::Value,
-    quick: bool,
-    tol: &Tolerances,
-) -> Result<RegressReport, String> {
+pub fn compare_against(baseline: &serde_json::Value, quick: bool) -> Result<RegressReport, String> {
     let devices = baseline
         .get("devices")
         .and_then(serde_json::Value::as_array)
@@ -319,7 +293,7 @@ pub fn compare_against(
     // spec in both quick and full mode (identical spec, so always
     // comparable).
     if let Some(service) = baseline.get("service") {
-        match compare_service(service, tol) {
+        match compare_service(service) {
             Some(case) => report.cases.push(case),
             None => report
                 .skipped

@@ -1,7 +1,7 @@
 //! The bench-regression gate must pass on a faithful baseline and fail
 //! on planted regressions — the gate's own false-negative test.
 
-use trisolve_bench::regress::{compare_against, Tolerances};
+use trisolve_bench::regress::compare_against;
 use trisolve_bench::snapshot::{device_peaks, measure_workload, workload_json};
 use trisolve_gpu_sim::DeviceSpec;
 use trisolve_tridiag::workloads::WorkloadShape;
@@ -22,12 +22,11 @@ fn gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
     let name = dev.queryable().name.clone();
     let shape = WorkloadShape::new(64, 512);
     let rec = measure_workload(&dev, shape);
-    let tol = Tolerances::default();
 
     // Faithful baseline: the committed snapshot row of the very same
     // measurement. Simulated metrics are deterministic, so this must pass.
     let doc = baseline_doc(&name, workload_json(&rec, &device_peaks(&dev)));
-    let report = compare_against(&doc, false, &tol).unwrap();
+    let report = compare_against(&doc, false).unwrap();
     assert!(
         report.passed(),
         "gate failed on its own baseline:\n{}",
@@ -37,7 +36,7 @@ fn gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
     assert!(report.render().contains("PASS"));
 
     // Planted slowdown: the baseline claims the dynamic solve used to be
-    // twice as fast. The re-measured value blows the +10% band.
+    // twice as fast.
     let planted = serde_json::json!({
         "systems": 64,
         "size": 512,
@@ -47,7 +46,7 @@ fn gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
         "retries": 0,
         "fallbacks": 0,
     });
-    let report = compare_against(&baseline_doc(&name, planted), false, &tol).unwrap();
+    let report = compare_against(&baseline_doc(&name, planted), false).unwrap();
     assert!(!report.passed());
     assert!(report
         .regressions()
@@ -64,7 +63,7 @@ fn gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
         "dynamic_ms": rec.dynamic_ms * (1.0 + 1e-12),
         "tuner_evaluations": rec.tuner_evaluations,
     });
-    let report = compare_against(&baseline_doc(&name, planted), false, &tol).unwrap();
+    let report = compare_against(&baseline_doc(&name, planted), false).unwrap();
     assert!(report
         .regressions()
         .iter()
@@ -78,7 +77,7 @@ fn gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
         "dynamic_ms": rec.dynamic_ms,
         "tuner_evaluations": 1,
     });
-    let report = compare_against(&baseline_doc(&name, planted), false, &tol).unwrap();
+    let report = compare_against(&baseline_doc(&name, planted), false).unwrap();
     assert!(
         report
             .regressions()
@@ -105,7 +104,6 @@ fn service_gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
     };
     let rec = measure_service(&profile);
     let section = service_json(&rec);
-    let tol = Tolerances::default();
 
     let doc = |service: serde_json::Value| {
         serde_json::json!({
@@ -136,7 +134,7 @@ fn service_gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
     };
 
     // Faithful baseline: deterministic campaign, must pass.
-    let report = compare_against(&doc(section.clone()), false, &tol).unwrap();
+    let report = compare_against(&doc(section.clone()), false).unwrap();
     assert!(
         report.passed(),
         "service gate failed on its own baseline:\n{}",
@@ -149,7 +147,7 @@ fn service_gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
     let shed = section["shed_deadline"].as_f64().unwrap();
     assert!(shed > 0.0, "fixture needs a campaign that actually sheds");
     let planted = with_field(&section, "shed_deadline", shed - 1.0);
-    let report = compare_against(&doc(planted), false, &tol).unwrap();
+    let report = compare_against(&doc(planted), false).unwrap();
     assert!(
         report
             .regressions()
@@ -159,12 +157,32 @@ fn service_gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
         report.render()
     );
 
+    // The end-to-end p99 is simulated time, held exactly: a baseline
+    // that claims the campaign used to be a hair faster fails, and so
+    // does one a hair slower (an unannounced speedup is a behaviour
+    // change too).
+    let p99 = section["e2e_p99_ms"].as_f64().unwrap();
+    assert!(p99 > 0.0);
+    for planted_p99 in [p99 * (1.0 - 1e-12), p99 * (1.0 + 1e-12)] {
+        assert_ne!(planted_p99.to_bits(), p99.to_bits());
+        let planted = with_field(&section, "e2e_p99_ms", planted_p99);
+        let report = compare_against(&doc(planted), false).unwrap();
+        assert!(
+            report
+                .regressions()
+                .iter()
+                .any(|(c, k)| c.device == "service" && k.metric == "e2e_p99_ms"),
+            "planted p99 drift ({planted_p99} vs {p99}) not caught:\n{}",
+            report.render()
+        );
+    }
+
     // Planted recovery-counter regression: the baseline claims the
     // breaker never tripped.
     let trips = section["breaker_trips"].as_f64().unwrap();
     assert!(trips > 0.0, "chaos fixture needs at least one trip");
     let planted = with_field(&section, "breaker_trips", 0.0);
-    let report = compare_against(&doc(planted), false, &tol).unwrap();
+    let report = compare_against(&doc(planted), false).unwrap();
     assert!(
         report
             .regressions()
@@ -177,9 +195,8 @@ fn service_gate_passes_on_faithful_baseline_and_fails_on_planted_regressions() {
 
 #[test]
 fn vacuous_or_malformed_baselines_are_errors() {
-    let tol = Tolerances::default();
     // No devices array at all.
-    assert!(compare_against(&serde_json::json!({}), false, &tol).is_err());
+    assert!(compare_against(&serde_json::json!({}), false).is_err());
     // Devices but nothing comparable — the gate must not pass silently.
     let empty = serde_json::json!({
         "devices": [serde_json::json!({
@@ -187,7 +204,7 @@ fn vacuous_or_malformed_baselines_are_errors() {
             "workloads": serde_json::json!([]),
         })],
     });
-    assert!(compare_against(&empty, false, &tol).is_err());
+    assert!(compare_against(&empty, false).is_err());
     // Unknown device is skipped, leaving nothing comparable.
     let unknown = serde_json::json!({
         "devices": [serde_json::json!({
@@ -197,5 +214,5 @@ fn vacuous_or_malformed_baselines_are_errors() {
             })],
         })],
     });
-    assert!(compare_against(&unknown, false, &tol).is_err());
+    assert!(compare_against(&unknown, false).is_err());
 }

@@ -1392,6 +1392,28 @@ mod tests {
     }
 
     #[test]
+    fn sanitized_staged_single_system_is_clean_and_every_launch_checked() {
+        // One 64K system runs the whole staged pipeline: stage-1 launches,
+        // the stage-2 chain split and the base kernel on its chains.
+        let shape = WorkloadShape::new(1, 1 << 16);
+        let p = params(16, 256, 32);
+        let batch = random_dominant::<f32>(shape, 64).unwrap();
+        let mut gpu: Gpu<f32> = Gpu::with_sanitizer(DeviceSpec::gtx_470());
+        let mut session = SolveSession::new(&mut gpu, shape).unwrap();
+        let out = session.solve(&mut gpu, &batch, &p).unwrap();
+        let has = |f: fn(&StageOp) -> bool| out.plan.ops.iter().any(f);
+        assert!(has(|op| matches!(op, StageOp::Stage1Split { .. })));
+        assert!(has(|op| matches!(op, StageOp::Stage2Split { .. })));
+        assert!(has(|op| matches!(op, StageOp::BaseSolve { .. })));
+        let report = gpu.take_sanitizer_report().unwrap();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.launches_checked, out.kernel_stats.len());
+        assert_eq!(report.launches_checked, gpu.timeline().len());
+        let resid = batch_worst_relative_residual(&batch, &out.x).unwrap();
+        assert!(resid < 1e-3, "residual {resid}");
+    }
+
+    #[test]
     fn certified_pipelined_run_is_sanitizer_clean() {
         let shape = WorkloadShape::new(8, 1024);
         let p = params(16, 512, 64);

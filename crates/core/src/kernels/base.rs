@@ -193,7 +193,8 @@ pub fn base_solve<T: GpuScalar>(
         gpu,
         &cfg,
         &src,
-        &[(x, OutMode::Scattered)],
+        // Block `b` owns chain `b % stride` of parent `b / stride`.
+        &[(x, OutMode::Chains { stride, span: n })],
         meter,
         |ctx, io| {
             let bid = ctx.block_id as usize;
@@ -326,7 +327,7 @@ pub fn base_solve<T: GpuScalar>(
                                 failed.store(true, Ordering::Relaxed);
                                 return false;
                             }
-                            io.scattered[0].set_at(chain.index(j), v, j, "base::store");
+                            io.chains[0].set_at(j, v, j, "base::store");
                         }
                     }
                 }

@@ -94,7 +94,9 @@ pub fn baseline_solve<T: GpuScalar>(
     let word_factor = f64::max(elem_bytes::<T>() as f64 / 4.0, 1.0);
     let failed = AtomicBool::new(false);
 
-    let stats = gpu.launch(&cfg, &src, &[(x, OutMode::Scattered)], |ctx, io| {
+    // Block `b` owns chain `b % stride` of parent `b / stride`.
+    let owned = OutMode::Chains { stride, span: n };
+    let stats = gpu.launch(&cfg, &src, &[(x, owned)], |ctx, io| {
         let bid = ctx.block_id as usize;
         let parent = bid / stride;
         let r = bid % stride;
@@ -173,7 +175,7 @@ pub fn baseline_solve<T: GpuScalar>(
                         failed.store(true, Ordering::Relaxed);
                         return;
                     }
-                    io.scattered[0].set_at(chain.index(j), *v, j, "baseline::store");
+                    io.chains[0].set_at(j, *v, j, "baseline::store");
                 }
                 ctx.gmem_write(chain_len, stride);
             }

@@ -134,20 +134,14 @@ pub fn unpack_solution<T: GpuScalar>(
         gpu,
         &cfg,
         &[x_chain_major],
-        &[(x_out, OutMode::Scattered)],
+        // Block `b` owns chain `b % stride` of parent `b / stride`.
+        &[(x_out, OutMode::Chains { stride, span: n })],
         meter,
         |ctx, io| {
             let bid = ctx.block_id as usize;
-            let parent = bid / stride;
-            let r = bid % stride;
-            let chain = ChainView {
-                offset: parent * n + r,
-                stride,
-                len: chain_len,
-            };
             for j in 0..chain_len {
                 let v = io.load(0, bid * chain_len + j, j, "unpack::load");
-                io.scattered[0].set_at(chain.index(j), v, j, "unpack::scatter");
+                io.chains[0].set_at(j, v, j, "unpack::scatter");
             }
             meter(ctx);
         },

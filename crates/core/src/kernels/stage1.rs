@@ -11,7 +11,8 @@
 use crate::kernels::{CoeffBuffers, Exec, GpuScalar};
 use crate::params::{SPLIT_KERNEL_REGS_PER_THREAD, SPLIT_KERNEL_THREADS};
 use crate::Result;
-use trisolve_gpu_sim::{BlockCtx, BlockIo, Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_gpu_sim::{BlockCtx, Gpu, KernelStats, LaunchConfig, OutMode};
+use trisolve_tridiag::pcr;
 
 /// Per-equation thread-operations of one PCR row update.
 pub const PCR_OPS_PER_EQ: usize = 12;
@@ -75,36 +76,40 @@ pub fn stage1_step<T: GpuScalar>(
 
     let meter = |ctx: &mut BlockCtx| stage1_meter(ctx, chunk);
     exec.launch(gpu, &cfg, &src, &outputs, meter, |ctx, io| {
+        // The block's chunk is one row range of one system (`chunk`
+        // divides `n`), computed by the same row loop as the CPU step.
         let base = ctx.block_id as usize * chunk;
-        // Fetch a full row, treating indices outside this equation's system
-        // as identity rows (b = 1, everything else 0). Logical thread `tid`
-        // owns element `tid` of the block's chunk.
-        let row = |io: &BlockIo<T>, sys: usize, pos: isize, tid: usize| -> (T, T, T, T) {
-            if pos < 0 || pos as usize >= n {
-                (T::ZERO, T::ONE, T::ZERO, T::ZERO)
-            } else {
-                let g = sys * n + pos as usize;
-                (
-                    io.load(0, g, tid, "stage1::row"),
-                    io.load(1, g, tid, "stage1::row"),
-                    io.load(2, g, tid, "stage1::row"),
-                    io.load(3, g, tid, "stage1::row"),
-                )
-            }
+        let (sys, first) = (base / n, base % n);
+        let system = sys * n..(sys + 1) * n;
+        let (sa, sb, sc, sd) = (
+            &io.inputs[0][system.clone()],
+            &io.inputs[1][system.clone()],
+            &io.inputs[2][system.clone()],
+            &io.inputs[3][system],
+        );
+        let [oa, ob, oc, od] = &mut io.owned[..] else {
+            unreachable!("stage 1 has four outputs")
         };
-        for i in 0..chunk {
-            let g = base + i;
-            let sys = g / n;
-            let pos = (g % n) as isize;
-            let (ai, bi, ci, di) = row(io, sys, pos, i);
-            let (am, bm, cm, dm) = row(io, sys, pos - stride as isize, i);
-            let (ap, bp, cp, dp) = row(io, sys, pos + stride as isize, i);
-            let alpha = -ai / bm;
-            let gamma = -ci / bp;
-            io.store(0, i, alpha * am, i, "stage1::store");
-            io.store(1, i, bi + alpha * cm + gamma * ap, i, "stage1::store");
-            io.store(2, i, gamma * cp, i, "stage1::store");
-            io.store(3, i, di + alpha * dm + gamma * dp, i, "stage1::store");
+        pcr::pcr_rows(stride, first, sa, sb, sc, sd, oa, ob, oc, od);
+        if ctx.sanitizing() {
+            // Replay the accesses through the tracked APIs (the values were
+            // already computed above) so memcheck/initcheck/racecheck see
+            // the kernel's true access set. Logical thread `i` owns element
+            // `i` of the block's chunk and reads its own row plus the
+            // in-range stride-`s` neighbour rows of its system.
+            for i in 0..chunk {
+                let pos = first + i;
+                let neighbours = [Some(pos), pos.checked_sub(stride), Some(pos + stride)];
+                for p in neighbours.into_iter().flatten().filter(|&p| p < n) {
+                    for k in 0..4 {
+                        let _ = io.load(k, sys * n + p, i, "stage1::row");
+                    }
+                }
+                for k in 0..4 {
+                    let v = io.owned[k][i];
+                    io.store(k, i, v, i, "stage1::store");
+                }
+            }
         }
         meter(ctx);
     })
@@ -123,45 +128,50 @@ mod tests {
 
     #[test]
     fn matches_cpu_pcr_step() {
-        let shape = WorkloadShape::new(3, 2048);
-        let batch = random_dominant::<f64>(shape, 11).unwrap();
-        let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
-        let src = [
-            upload(&mut gpu, &batch.a),
-            upload(&mut gpu, &batch.b),
-            upload(&mut gpu, &batch.c),
-            upload(&mut gpu, &batch.d),
-        ];
-        let total = shape.total_equations();
-        let dst = [
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-            gpu.alloc(total).unwrap(),
-        ];
-        for stride in [1usize, 2, 4] {
-            stage1_step(&mut gpu, Exec::Numeric, src, dst, 3, 2048, stride).unwrap();
-            // CPU reference: apply one PCR step per system.
-            for s in 0..3 {
-                let sys = batch.system(s).unwrap();
-                let n = 2048;
-                let mut ea = vec![0.0; n];
-                let mut eb = vec![0.0; n];
-                let mut ec = vec![0.0; n];
-                let mut ed = vec![0.0; n];
-                pcr::pcr_step(
-                    stride, &sys.a, &sys.b, &sys.c, &sys.d, &mut ea, &mut eb, &mut ec, &mut ed,
-                );
-                let ga = gpu.download(dst[0]).unwrap();
-                let gb = gpu.download(dst[1]).unwrap();
-                let gc = gpu.download(dst[2]).unwrap();
-                let gd = gpu.download(dst[3]).unwrap();
-                for i in 0..n {
-                    let g = s * n + i;
-                    assert!((ga[g] - ea[i]).abs() < 1e-12, "a stride={stride} i={i}");
-                    assert!((gb[g] - eb[i]).abs() < 1e-12, "b stride={stride} i={i}");
-                    assert!((gc[g] - ec[i]).abs() < 1e-12, "c stride={stride} i={i}");
-                    assert!((gd[g] - ed[i]).abs() < 1e-12, "d stride={stride} i={i}");
+        // Bit-identical to the CPU step for one and several systems, from a
+        // single equation up to systems that span several 1024-row blocks,
+        // at strides below, at and beyond the system size.
+        for m in [1usize, 3] {
+            for n in [1usize, 2, 4, 8, 64, 1024, 2048, 4096] {
+                let shape = WorkloadShape::new(m, n);
+                let batch = random_dominant::<f64>(shape, 11).unwrap();
+                let mut gpu: Gpu<f64> = Gpu::new(DeviceSpec::gtx_470());
+                let src = [
+                    upload(&mut gpu, &batch.a),
+                    upload(&mut gpu, &batch.b),
+                    upload(&mut gpu, &batch.c),
+                    upload(&mut gpu, &batch.d),
+                ];
+                let total = shape.total_equations();
+                let dst = [
+                    gpu.alloc(total).unwrap(),
+                    gpu.alloc(total).unwrap(),
+                    gpu.alloc(total).unwrap(),
+                    gpu.alloc(total).unwrap(),
+                ];
+                for stride in [1usize, 2, 4, 512, n, 2 * n] {
+                    stage1_step(&mut gpu, Exec::Numeric, src, dst, m, n, stride).unwrap();
+                    let got: Vec<Vec<f64>> =
+                        dst.iter().map(|&b| gpu.download(b).unwrap()).collect();
+                    // CPU reference: apply one PCR step per system.
+                    for s in 0..m {
+                        let sys = batch.system(s).unwrap();
+                        let mut want = vec![vec![0.0; n]; 4];
+                        let [ea, eb, ec, ed] = &mut want[..] else {
+                            unreachable!()
+                        };
+                        pcr::pcr_step(stride, &sys.a, &sys.b, &sys.c, &sys.d, ea, eb, ec, ed);
+                        for (k, want) in want.iter().enumerate() {
+                            let got = &got[k][s * n..(s + 1) * n];
+                            for i in 0..n {
+                                assert_eq!(
+                                    got[i].to_bits(),
+                                    want[i].to_bits(),
+                                    "m={m} n={n} stride={stride} system {s} array {k} row {i}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -80,7 +80,12 @@ pub fn stage2_split<T: GpuScalar>(
     let chain_len = n / stride_in;
     let cfg = stage2_config(m, n, stride_in, steps);
 
-    let outputs: Vec<_> = dst.iter().map(|&b| (b, OutMode::Scattered)).collect();
+    // Block `b` owns chain `b % stride_in` of parent `b / stride_in`.
+    let owned = OutMode::Chains {
+        stride: stride_in,
+        span: n,
+    };
+    let outputs: Vec<_> = dst.iter().map(|&b| (b, owned)).collect();
 
     let meter = |ctx: &mut BlockCtx| stage2_meter(ctx, chain_len, stride_in, steps);
     exec.launch(gpu, &cfg, &src, &outputs, meter, |ctx, io| {
@@ -136,12 +141,14 @@ pub fn stage2_split<T: GpuScalar>(
         }
         meter(ctx);
         // Scatter the final coefficients to the chain's parent positions.
+        let [wa, wb, wc, wd] = &io.chains[..] else {
+            unreachable!("stage 2 has four outputs")
+        };
         for j in 0..chain_len {
-            let g = chain.index(j);
-            io.scattered[0].set_at(g, cur.0[j], j, "stage2::scatter");
-            io.scattered[1].set_at(g, cur.1[j], j, "stage2::scatter");
-            io.scattered[2].set_at(g, cur.2[j], j, "stage2::scatter");
-            io.scattered[3].set_at(g, cur.3[j], j, "stage2::scatter");
+            wa.set_at(j, cur.0[j], j, "stage2::scatter");
+            wb.set_at(j, cur.1[j], j, "stage2::scatter");
+            wc.set_at(j, cur.2[j], j, "stage2::scatter");
+            wd.set_at(j, cur.3[j], j, "stage2::scatter");
         }
     })
 }
@@ -263,15 +270,20 @@ mod tests {
     }
 
     #[test]
-    fn chain_scatter_covers_everything_without_races() {
-        // Race checking is on by default: a successful launch proves chains
-        // are disjoint and cover the buffer.
+    fn chain_scatter_covers_everything_without_hazards() {
+        // Chain outputs are disjoint by construction; under the sanitizer
+        // the launch must also come back clean and initialise every
+        // element of every output (a later full read reports no uninit).
         let shape = WorkloadShape::new(2, 1024);
         let batch = random_dominant::<f64>(shape, 8).unwrap();
-        let mut gpu = gpu470();
-        gpu.race_check = true;
+        let mut gpu: Gpu<f64> = Gpu::with_sanitizer(DeviceSpec::gtx_470());
         let src = coeffs(&mut gpu, &batch);
         let dst = fresh(&mut gpu, 2048);
+        let fin = fresh(&mut gpu, 2048);
         stage2_split(&mut gpu, Exec::Numeric, src, dst, 2, 1024, 4, 1).unwrap();
+        stage2_split(&mut gpu, Exec::Numeric, dst, fin, 2, 1024, 1, 1).unwrap();
+        let report = gpu.take_sanitizer_report().unwrap();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.launches_checked, 2);
     }
 }

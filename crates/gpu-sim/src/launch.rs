@@ -1,6 +1,6 @@
 //! The kernel launch abstraction: launch configurations, the per-block
 //! execution context with its cost meters, and the output-writing façades
-//! (owned chunks vs. race-checked scattered writes).
+//! (owned chunks, owned strided chains, race-checked scattered writes).
 //!
 //! ## Programming model
 //!
@@ -9,29 +9,35 @@
 //! * a [`BlockCtx`] — block id plus the cost meters it must feed as it works
 //!   (`gmem_read`, `smem`, `ops`, `sync`, …);
 //! * a [`BlockIo`] — read-only views of the input buffers, an exclusive
-//!   mutable chunk of each *chunked* output, and a [`ScatterWriter`] for each
-//!   *scattered* output.
+//!   mutable chunk of each *chunked* output, a [`ChainWriter`] for the
+//!   block's own strided chain of each *chain* output, and a
+//!   [`ScatterWriter`] for each *scattered* output.
 //!
 //! Blocks run independently (in parallel via Rayon) and cannot communicate —
 //! exactly the real-GPU constraint that a kernel has no global barrier. The
 //! paper's stage 1 needs a global synchronisation per split and therefore
 //! pays one *launch* per split; the simulator enforces that structure.
 //!
-//! Scattered outputs are race-checked: if two blocks write the same element,
-//! the launch fails with [`SimError::WriteRace`] instead of silently
-//! corrupting data (on hardware this would be undefined behaviour).
+//! Chunked and chain outputs partition the buffer among blocks, validated at
+//! launch, so two blocks can never write the same element. Scattered
+//! outputs have no partition and are race-checked instead: if two blocks
+//! write the same element, the launch fails with [`SimError::WriteRace`]
+//! instead of silently corrupting data (on hardware this would be
+//! undefined behaviour).
 //!
 //! When the device was built with [`crate::Gpu::with_sanitizer`], the
 //! *tracked* access APIs — [`BlockIo::load`], [`BlockIo::store`],
-//! [`ScatterWriter::set_at`], [`BlockCtx::track_smem_read`] /
+//! [`ChainWriter::set_at`], [`ScatterWriter::set_at`],
+//! [`BlockCtx::track_smem_read`] /
 //! [`BlockCtx::track_smem_write`] — additionally feed a per-block
 //! [`BlockShadow`] that implements memcheck / initcheck / racecheck (see
 //! [`crate::sanitizer`]). Without a sanitizer the tracked APIs degrade to
 //! the plain accesses at the cost of one branch.
 
-// The only unsafe code in the workspace lives in this module (`SharedOut`'s
-// scattered-write pointer); the workspace-level `unsafe_code = "deny"` lint
-// is lifted here and every unsafe block carries a SAFETY comment.
+// The only unsafe code in the workspace lives in this module (the output
+// write pointers of `SharedOut` and `ChainWriter`); the workspace-level
+// `unsafe_code = "deny"` lint is lifted here and every unsafe block carries
+// a SAFETY comment.
 #![allow(unsafe_code)]
 
 use crate::cost::CostCounters;
@@ -41,6 +47,7 @@ use crate::sanitizer::{BlockShadow, InitMask, Region};
 use crate::Element;
 use parking_lot::Mutex;
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// Configuration of one kernel launch.
@@ -93,9 +100,46 @@ pub enum OutMode {
         /// Elements per block.
         chunk: usize,
     },
+    /// The buffer holds `len / span` systems of `span` elements, each
+    /// split into `stride` interleaved chains, and block `b` exclusively
+    /// owns one chain: elements
+    /// `(b / stride) * span + b % stride + j * stride` for
+    /// `j < span / stride`. The grid must be `systems * stride`, `span` a
+    /// multiple of `stride` and the buffer length a multiple of `span`.
+    /// Write-only, through the chain-local index `j` of a [`ChainWriter`].
+    /// [`OutMode::Chunked`] is the `stride = 1` partition with readable
+    /// slices.
+    Chains {
+        /// Distance between consecutive chain elements (chains per system).
+        stride: usize,
+        /// Elements per system.
+        span: usize,
+    },
     /// Blocks may write anywhere, but every element at most once across the
     /// whole grid (checked). Write-only.
     Scattered,
+}
+
+/// The per-block partition of an owned output: block `b` owns elements
+/// `(b / stride) * span + b % stride + j * stride` for
+/// `j < span / stride`. Chunked outputs are the `stride = 1` case.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Ownership {
+    pub(crate) span: usize,
+    pub(crate) stride: usize,
+}
+
+impl Ownership {
+    /// Elements each block owns.
+    pub(crate) fn len(self) -> usize {
+        self.span / self.stride
+    }
+
+    /// Buffer index of element `j` of block `b`'s share.
+    #[inline]
+    pub(crate) fn index(self, b: usize, j: usize) -> usize {
+        (b / self.stride) * self.span + b % self.stride + j * self.stride
+    }
 }
 
 /// Per-block execution context: identity plus cost meters.
@@ -360,9 +404,12 @@ pub(crate) struct SharedOut<E> {
     race_info: Mutex<Option<(usize, u32, u32)>>,
 }
 
-// SAFETY: blocks write disjoint elements (enforced by the claim map when
-// race checking is on; promised by the kernel author otherwise), so
-// concurrent access through the raw pointer never aliases a write.
+// SAFETY: blocks write disjoint elements, so concurrent access through the
+// raw pointer never aliases a write. For a chain output disjointness holds
+// by construction (see `ChainWriter::set`). For a scattered output it is
+// enforced by the claim map when race checking is on and promised by the
+// kernel author otherwise. The other fields are atomics, a mutex and a
+// claim vector of atomics, all safe to share.
 unsafe impl<E: Send> Send for SharedOut<E> {}
 unsafe impl<E: Send> Sync for SharedOut<E> {}
 
@@ -498,6 +545,124 @@ impl<E: Element> ScatterWriter<'_, E> {
     }
 }
 
+/// Write façade handed to a block for its own chain of one
+/// [`OutMode::Chains`] output. Element `j` of the chain is buffer element
+/// `offset + j * stride`; the chains of different blocks are disjoint by
+/// construction, so no claim map is kept.
+pub struct ChainWriter<'a, E: Element> {
+    /// Buffer element of chain element 0.
+    first: *mut E,
+    offset: usize,
+    stride: usize,
+    len: usize,
+    block: u32,
+    /// Position of this buffer among the launch's chain outputs, for
+    /// hazard reports.
+    slot: usize,
+    /// Position of this buffer among the block's owned-output init shadows.
+    owned_slot: usize,
+    shadow: Option<&'a RefCell<BlockShadow>>,
+    /// The writer borrows the launch's shared view of the buffer.
+    _out: PhantomData<&'a SharedOut<E>>,
+}
+
+impl<'a, E: Element> ChainWriter<'a, E> {
+    /// Block `block`'s writer for chain output `slot` (owned-output shadow
+    /// `owned_slot`) of partition `own` over `out`.
+    pub(crate) fn new(
+        out: &'a SharedOut<E>,
+        own: Ownership,
+        block: usize,
+        slot: usize,
+        owned_slot: usize,
+        shadow: Option<&'a RefCell<BlockShadow>>,
+    ) -> Self {
+        let (offset, len) = (own.index(block, 0), own.len());
+        assert!(
+            len >= 1 && own.index(block, len - 1) < out.len,
+            "chain of block {block} leaves its buffer of {} elements",
+            out.len
+        );
+        Self {
+            // SAFETY: `offset` is in bounds of the buffer (checked above).
+            first: unsafe { out.ptr.add(offset) },
+            offset,
+            stride: own.stride,
+            len,
+            block: block as u32,
+            slot,
+            owned_slot,
+            shadow,
+            _out: PhantomData,
+        }
+    }
+
+    /// Write `v` at chain element `j`. Panics if `j >= len()`. Under the
+    /// sanitizer the element is marked initialised.
+    #[inline]
+    pub fn set(&self, j: usize, v: E) {
+        assert!(
+            j < self.len,
+            "chain write out of bounds: {j} >= {}",
+            self.len
+        );
+        if let Some(cell) = self.shadow {
+            cell.borrow_mut()
+                .mark_owned_write(self.owned_slot, j, self.len);
+        }
+        // SAFETY: `j < len`, and `new` checked that the chain's last
+        // element lies inside the buffer, so the write is in bounds. It
+        // aliases no other block's write: the partition map
+        // `(b, j) -> (b / stride) * span + b % stride + j * stride` is
+        // injective for `j < span / stride` (block `b`'s elements lie in
+        // system `b / stride` and are `b % stride` modulo `stride`), and
+        // the launch builds one writer per block and output.
+        unsafe {
+            *self.first.add(j * self.stride) = v;
+        }
+    }
+
+    /// Tracked write: like [`ChainWriter::set`], but reports the logical
+    /// thread `tid` and source site to the sanitizer. Under the sanitizer an
+    /// out-of-bounds `j` is *recorded* and the write dropped instead of
+    /// panicking, and same-interval conflicts between different threads of
+    /// the block are racechecked. Without a sanitizer this is exactly `set`.
+    #[inline]
+    pub fn set_at(&self, j: usize, v: E, tid: usize, site: &'static str) {
+        if let Some(cell) = self.shadow {
+            let mut s = cell.borrow_mut();
+            if j >= self.len {
+                s.record_oob(Region::ChainOut(self.slot), j, self.len, tid, site, true);
+                return;
+            }
+            s.record_access(Region::ChainOut(self.slot), j, tid, site, true);
+        }
+        self.set(j, v);
+    }
+
+    /// Elements in this block's chain.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the chain is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl<E: Element> std::fmt::Debug for ChainWriter<'_, E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChainWriter")
+            .field("block", &self.block)
+            .field("slot", &self.slot)
+            .field("offset", &self.offset)
+            .field("stride", &self.stride)
+            .field("len", &self.len)
+            .finish_non_exhaustive()
+    }
+}
+
 /// Per-block sanitizer wiring carried by [`BlockIo`]: the shadow cell plus
 /// views of the launch inputs' global-memory init masks.
 pub(crate) struct ShadowHandle<'a> {
@@ -505,14 +670,16 @@ pub(crate) struct ShadowHandle<'a> {
     pub(crate) input_init: &'a [&'a InitMask],
 }
 
-/// Everything a block can touch: input views, its owned chunks, and the
-/// scattered writers, in the order the corresponding buffers were passed to
-/// [`crate::Gpu::launch`].
+/// Everything a block can touch: input views, its owned chunks, its chain
+/// writers and the scattered writers, each list in the order the
+/// corresponding buffers were passed to [`crate::Gpu::launch`].
 pub struct BlockIo<'a, E: Element> {
     /// Read-only full views of the input buffers.
     pub inputs: Vec<&'a [E]>,
     /// This block's exclusive read-write chunk of each `Chunked` output.
     pub owned: Vec<&'a mut [E]>,
+    /// Writers for this block's chain of each `Chains` output.
+    pub chains: Vec<ChainWriter<'a, E>>,
     /// Writers for each `Scattered` output.
     pub scattered: Vec<ScatterWriter<'a, E>>,
     pub(crate) shadow: Option<ShadowHandle<'a>>,
@@ -523,6 +690,7 @@ impl<E: Element> std::fmt::Debug for BlockIo<'_, E> {
         f.debug_struct("BlockIo")
             .field("inputs", &self.inputs.len())
             .field("owned", &self.owned.len())
+            .field("chains", &self.chains.len())
             .field("scattered", &self.scattered.len())
             .finish_non_exhaustive()
     }

@@ -46,7 +46,7 @@ pub use cpu::CpuSpec;
 pub use device::{DeviceSpec, HiddenProps, QueryableProps};
 pub use error::SimError;
 pub use fault::{FaultInjector, FaultKind, FaultLog, FaultPlan, FaultRecord};
-pub use launch::{BlockCtx, BlockIo, BlockOut, LaunchConfig, OutMode, ScatterWriter};
+pub use launch::{BlockCtx, BlockIo, BlockOut, ChainWriter, LaunchConfig, OutMode, ScatterWriter};
 pub use memory::{BufferId, DeviceBuffer, Gpu, ProfileEntry};
 pub use sanitizer::{AccessSite, Hazard, HazardKind, Region, SanitizerReport};
 pub use stream::{

@@ -6,7 +6,8 @@ use crate::device::DeviceSpec;
 use crate::error::SimError;
 use crate::fault::{FaultInjector, FaultLog, FaultPlan, FaultRecord};
 use crate::launch::{
-    BlockCtx, BlockIo, LaunchConfig, OutMode, ScatterWriter, ShadowHandle, SharedOut,
+    BlockCtx, BlockIo, ChainWriter, LaunchConfig, OutMode, Ownership, ScatterWriter, ShadowHandle,
+    SharedOut,
 };
 use crate::sanitizer::{BlockShadow, Hazard, InitMask, SanitizerReport};
 use crate::stream::{
@@ -124,7 +125,10 @@ pub struct Gpu<E: Element> {
     allocated_bytes: usize,
     /// Verify that scattered outputs are written at most once per element
     /// across the grid (on by default; a failure is a data race on real
-    /// hardware).
+    /// hardware). It keeps one claim per element of every scattered
+    /// output. Chunked and chain outputs need no check: their per-block
+    /// partition is validated at launch, so blocks write disjoint elements
+    /// by construction.
     pub race_check: bool,
     timeline: Vec<KernelStats>,
     elapsed_s: f64,
@@ -885,7 +889,7 @@ impl<E: Element> Gpu<E> {
     ///
     /// Everything of a launch that does not depend on buffer contents runs
     /// exactly as in [`Gpu::launch`]: residency and launch validation, the
-    /// buffer-id, in/out-aliasing and chunk-size checks, the timing model,
+    /// buffer-id, in/out-aliasing and output-partition checks, the timing model,
     /// the timeline entry, the simulated clock and the trace span. What is
     /// dropped is the data: per block only `meter` runs, in block order on
     /// the calling thread, and no output buffer is touched (no take and
@@ -932,9 +936,7 @@ impl<E: Element> Gpu<E> {
             self.view(*id)?;
         }
         for ((_, mode), len) in outputs.iter().zip(output_lens) {
-            if let OutMode::Chunked { chunk } = mode {
-                check_chunk(*chunk, len, cfg.grid_blocks)?;
-            }
+            check_out(*mode, len, cfg.grid_blocks)?;
         }
         let counters: Vec<CostCounters> = (0..cfg.grid_blocks)
             .map(|b| {
@@ -1112,38 +1114,66 @@ impl<E: Element> Gpu<E> {
         let smem_elems = cfg.shared_mem_bytes / E::BYTES;
 
         // Partition chunked outputs into per-block slices and build the
-        // shared scattered outputs.
-        let mut chunk_iters: Vec<(usize, std::slice::ChunksMut<'_, E>)> = Vec::new();
+        // shared chain and scattered outputs.
+        let mut chunk_iters: Vec<std::slice::ChunksMut<'_, E>> = Vec::new();
+        let mut chains: Vec<(SharedOut<E>, Ownership)> = Vec::new();
         let mut scattered: Vec<SharedOut<E>> = Vec::new();
-        // Buffer slot + chunk + full length per chunked output, and buffer
-        // slot + length per scattered output, for the sanitizer audit.
-        let mut chunked_meta: Vec<(usize, usize, usize)> = Vec::new();
+        // Per owned output (chunked ones first, then chains: the order of
+        // the block shadows' owned masks) and per scattered output, what the
+        // sanitizer audit needs.
+        let mut chunked_meta: Vec<OwnedMeta> = Vec::new();
+        let mut chain_meta: Vec<OwnedMeta> = Vec::new();
         let mut scattered_meta: Vec<(usize, usize)> = Vec::new();
         // Order map so BlockIo presents outputs in caller order.
         enum Slot {
             Chunked,
+            Chain(usize),
             Scattered(usize),
         }
         let mut order: Vec<Slot> = Vec::with_capacity(taken.len());
         for (oid, mode, buf) in taken.iter_mut() {
-            match mode {
+            check_out(*mode, buf.len(), grid)?;
+            let (slot, len) = (oid.0, buf.len());
+            match *mode {
                 OutMode::Chunked { chunk } => {
-                    check_chunk(*chunk, buf.len(), grid)?;
+                    let own = Ownership {
+                        span: chunk,
+                        stride: 1,
+                    };
                     order.push(Slot::Chunked);
-                    chunked_meta.push((oid.0, *chunk, buf.len()));
-                    chunk_iters.push((*chunk, buf.chunks_mut(*chunk)));
+                    chunked_meta.push(OwnedMeta {
+                        slot,
+                        own,
+                        len,
+                        chunked: true,
+                    });
+                    chunk_iters.push(buf.chunks_mut(chunk));
+                }
+                OutMode::Chains { stride, span } => {
+                    let own = Ownership { span, stride };
+                    order.push(Slot::Chain(chains.len()));
+                    chain_meta.push(OwnedMeta {
+                        slot,
+                        own,
+                        len,
+                        chunked: false,
+                    });
+                    chains.push((SharedOut::new(buf, false), own));
                 }
                 OutMode::Scattered => {
                     order.push(Slot::Scattered(scattered.len()));
-                    scattered_meta.push((oid.0, buf.len()));
+                    scattered_meta.push((slot, len));
                     scattered.push(SharedOut::new(buf, self.race_check));
                 }
             }
         }
+        let num_chunked = chunked_meta.len();
+        let owned_meta: Vec<OwnedMeta> = chunked_meta.into_iter().chain(chain_meta).collect();
+        let num_owned = owned_meta.len();
 
         // Assemble per-block owned chunks (sequentially; they are disjoint).
         let mut per_block_owned: Vec<Vec<&mut [E]>> = (0..grid).map(|_| Vec::new()).collect();
-        for (_, iter) in &mut chunk_iters {
+        for iter in &mut chunk_iters {
             for (b, chunk) in iter.by_ref().take(grid).enumerate() {
                 per_block_owned[b].push(chunk);
             }
@@ -1151,6 +1181,7 @@ impl<E: Element> Gpu<E> {
 
         let spec = &self.spec;
         let scattered_ref = &scattered;
+        let chains_ref = &chains;
         let order_ref = &order;
         let kernel_ref = &kernel;
         let input_views_ref = &input_views;
@@ -1164,7 +1195,7 @@ impl<E: Element> Gpu<E> {
                 // borrows they hold end first.
                 let shadow_cell = input_masks_ref
                     .is_some()
-                    .then(|| RefCell::new(BlockShadow::new(smem_elems, owned.len())));
+                    .then(|| RefCell::new(BlockShadow::new(smem_elems, num_owned)));
                 let mut ctx = BlockCtx::new(b as u32, cfg.block_threads, spec, E::BYTES);
                 if let Some(cell) = &shadow_cell {
                     ctx.attach_shadow(cell);
@@ -1174,6 +1205,7 @@ impl<E: Element> Gpu<E> {
                 let mut io = BlockIo {
                     inputs: input_views_ref.clone(),
                     owned: Vec::new(),
+                    chains: Vec::new(),
                     scattered: Vec::new(),
                     shadow: match (&shadow_cell, input_masks_ref) {
                         (Some(cell), Some(input_init)) => Some(ShadowHandle { cell, input_init }),
@@ -1184,6 +1216,17 @@ impl<E: Element> Gpu<E> {
                     match slot {
                         Slot::Chunked => {
                             io.owned.push(owned_iter.next().expect("chunk per output"));
+                        }
+                        Slot::Chain(k) => {
+                            let (out, own) = &chains_ref[*k];
+                            io.chains.push(ChainWriter::new(
+                                out,
+                                *own,
+                                b,
+                                *k,
+                                num_chunked + *k,
+                                shadow_cell.as_ref(),
+                            ));
                         }
                         Slot::Scattered(j) => {
                             io.scattered.push(ScatterWriter {
@@ -1212,7 +1255,7 @@ impl<E: Element> Gpu<E> {
             self.build_audit(
                 cfg,
                 &mut per_block,
-                &chunked_meta,
+                &owned_meta,
                 &scattered_meta,
                 &scattered,
             )
@@ -1230,15 +1273,15 @@ impl<E: Element> Gpu<E> {
         &self,
         cfg: &LaunchConfig,
         per_block: &mut [(CostCounters, Option<BlockShadow>)],
-        chunked_meta: &[(usize, usize, usize)],
+        owned_meta: &[OwnedMeta],
         scattered_meta: &[(usize, usize)],
         scattered: &[SharedOut<E>],
     ) -> LaunchAudit {
         let mut hazards = Vec::new();
         let mut dropped = 0usize;
-        let mut owned_masks: Vec<InitMask> = chunked_meta
+        let mut owned_masks: Vec<InitMask> = owned_meta
             .iter()
-            .map(|&(_, _, len)| InitMask::new_uninit(len))
+            .map(|m| InitMask::new_uninit(m.len))
             .collect();
         for (b, (_, shadow)) in per_block.iter_mut().enumerate() {
             let Some(shadow) = shadow.take() else {
@@ -1258,28 +1301,33 @@ impl<E: Element> Gpu<E> {
                 });
             }
             for (o, local) in owned_writes.into_iter().enumerate() {
-                let (_, chunk, _) = chunked_meta[o];
-                let base = b * chunk;
+                let own = owned_meta[o].own;
                 match local {
                     Some(local) => {
-                        for i in 0..chunk {
-                            if local.get(i) {
-                                owned_masks[o].set(base + i);
+                        for j in 0..own.len() {
+                            if local.get(j) {
+                                owned_masks[o].set(own.index(b, j));
                             }
                         }
                     }
-                    // No tracked store hit this output: assume an untracked
-                    // kernel wrote its whole chunk. Conservative, but keeps
-                    // kernels that index `io.owned` directly (demos, tests)
-                    // from poisoning later launches with false uninit reads.
-                    None => owned_masks[o].set_range(base, base + chunk),
+                    // No tracked store hit this chunk: assume an untracked
+                    // kernel wrote it whole. Conservative, but keeps kernels
+                    // that index `io.owned` directly (demos, tests) from
+                    // poisoning later launches with false uninit reads.
+                    None if owned_meta[o].chunked => {
+                        let base = own.index(b, 0);
+                        owned_masks[o].set_range(base, base + own.len());
+                    }
+                    // Every chain write is tracked: an untouched chain
+                    // stays uninitialised.
+                    None => {}
                 }
             }
         }
-        let mut output_inits: Vec<(usize, InitMask)> = chunked_meta
+        let mut output_inits: Vec<(usize, InitMask)> = owned_meta
             .iter()
             .zip(owned_masks)
-            .map(|(&(slot, _, _), mask)| (slot, mask))
+            .map(|(m, mask)| (m.slot, mask))
             .collect();
         for (j, out) in scattered.iter().enumerate() {
             let (slot, len) = scattered_meta[j];
@@ -1318,14 +1366,44 @@ fn check_aliasing(inputs: &[BufferId], outputs: &[(BufferId, OutMode)]) -> Resul
     Ok(())
 }
 
-/// A chunked output must give every block of the grid a non-empty chunk.
-fn check_chunk(chunk: usize, len: usize, grid: usize) -> Result<(), SimError> {
-    if chunk == 0 || len < chunk * grid {
-        return Err(SimError::InvalidLaunch {
-            detail: format!("chunked output too small: len {len} < chunk {chunk} x grid {grid}"),
-        });
+/// One owned (chunked or chain) output of a launch, for the sanitizer
+/// audit.
+struct OwnedMeta {
+    /// Buffer slot.
+    slot: usize,
+    own: Ownership,
+    /// Full buffer length.
+    len: usize,
+    /// Chunked outputs can be written by plain slice indexing, which the
+    /// block shadow does not see.
+    chunked: bool,
+}
+
+/// An owned output must partition into one non-empty share per block of
+/// the grid: a chunked output needs `chunk * grid` elements; a chain output
+/// needs `grid = systems * stride` with `span` a multiple of `stride` and
+/// the length a multiple of `span`. Scattered outputs have no partition.
+fn check_out(mode: OutMode, len: usize, grid: usize) -> Result<(), SimError> {
+    let bad = |detail: String| Err(SimError::InvalidLaunch { detail });
+    match mode {
+        OutMode::Chunked { chunk } if chunk == 0 || len < chunk * grid => bad(format!(
+            "chunked output too small: len {len} < chunk {chunk} x grid {grid}"
+        )),
+        OutMode::Chains { stride, span } if stride == 0 || span == 0 => bad(format!(
+            "chain output needs a nonzero stride and span: stride {stride}, span {span}"
+        )),
+        OutMode::Chains { stride, span } if grid != len / span * stride => bad(format!(
+            "chain output grid mismatch: grid {grid} != {} systems x stride {stride}",
+            len / span
+        )),
+        OutMode::Chains { stride, span } if !span.is_multiple_of(stride) => bad(format!(
+            "chain output span {span} is not a multiple of stride {stride}"
+        )),
+        OutMode::Chains { span, .. } if !len.is_multiple_of(span) => bad(format!(
+            "chain output length {len} is not a multiple of span {span}"
+        )),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2154,5 +2232,189 @@ mod tests {
         // Streams enabled but none active: the synchronous path is fine.
         streamed.set_stream(None);
         assert!(!refused(&mut streamed));
+    }
+
+    /// Two systems of 16 elements, each split into 4 chains of 4: grid 8.
+    const CHAINS: OutMode = OutMode::Chains {
+        stride: 4,
+        span: 16,
+    };
+
+    #[test]
+    fn chain_output_maps_local_index_into_the_blocks_chain() {
+        let mut g = gpu();
+        let out = g.alloc(32).unwrap();
+        let cfg = LaunchConfig::new("chains[test]", 8, 4);
+        g.launch(&cfg, &[], &[(out, CHAINS)], |ctx, io| {
+            let b = ctx.block_id as usize;
+            assert_eq!(io.chains[0].len(), 4);
+            for j in 0..4 {
+                io.chains[0].set(j, (100 * b + j) as f32);
+            }
+        })
+        .unwrap();
+        let got = g.download(out).unwrap();
+        for (i, &v) in got.iter().enumerate() {
+            // Element i is chain element j = (i % 16) / 4 of block
+            // (i / 16) * 4 + i % 4.
+            let (b, j) = ((i / 16) * 4 + i % 4, (i % 16) / 4);
+            assert_eq!(v, (100 * b + j) as f32, "element {i}");
+        }
+    }
+
+    #[test]
+    fn chain_geometry_is_refused_alike_by_numeric_and_metered_launches() {
+        // (grid, mode, buffer length): grid != systems x stride, a span
+        // that is no multiple of the stride, a length that is no multiple
+        // of the span, and a zero stride.
+        let bad = [
+            (6, CHAINS, 32),
+            (
+                8,
+                OutMode::Chains {
+                    stride: 3,
+                    span: 16,
+                },
+                32,
+            ),
+            (8, CHAINS, 40),
+            (
+                8,
+                OutMode::Chains {
+                    stride: 0,
+                    span: 16,
+                },
+                32,
+            ),
+        ];
+        for (grid, mode, len) in bad {
+            let mut g = gpu();
+            let out = g.alloc(len).unwrap();
+            let cfg = LaunchConfig::new("chains[bad]", grid, 4);
+            let numeric = g
+                .launch(&cfg, &[], &[(out, mode)], |_, _| {
+                    panic!("kernel must not run")
+                })
+                .unwrap_err();
+            let metered = g
+                .launch_metered(&cfg, &[], &[(out, mode)], |_| panic!("meter must not run"))
+                .unwrap_err();
+            assert!(
+                matches!(numeric, SimError::InvalidLaunch { .. }),
+                "{numeric}"
+            );
+            assert_eq!(
+                numeric.to_string(),
+                metered.to_string(),
+                "{mode:?} len {len}"
+            );
+            assert!(g.timeline().is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chain write out of bounds")]
+    fn chain_write_past_the_chain_panics_unsanitized() {
+        let mut g = gpu();
+        let out = g.alloc(32).unwrap();
+        let cfg = LaunchConfig::new("chains[oob]", 8, 4);
+        let _ = g.launch(&cfg, &[], &[(out, CHAINS)], |_, io| {
+            io.chains[0].set_at(4, 1.0, 0, "test::oob");
+        });
+    }
+
+    #[test]
+    fn chain_write_past_the_chain_is_recorded_and_dropped_under_sanitizer() {
+        let mut g: Gpu<f32> = Gpu::with_sanitizer(DeviceSpec::gtx_470());
+        let out = g.alloc(32).unwrap();
+        let cfg = LaunchConfig::new("chains[oob]", 8, 4);
+        g.launch(&cfg, &[], &[(out, CHAINS)], |ctx, io| {
+            for j in 0..4 {
+                io.chains[0].set_at(j, 1.0, j, "test::store");
+            }
+            if ctx.block_id == 5 {
+                // Chain element 4 would be element 0 of the next chain.
+                io.chains[0].set_at(4, 9.0, 3, "test::oob");
+            }
+        })
+        .unwrap();
+        let report = g.take_sanitizer_report().unwrap();
+        assert_eq!(report.hazards.len(), 1, "{report}");
+        let h = &report.hazards[0];
+        assert_eq!(h.kind, HazardKind::OutOfBounds);
+        assert_eq!(h.region, crate::sanitizer::Region::ChainOut(0));
+        assert_eq!((h.block, h.index, h.second.tid), (5, 4, 3));
+        assert!(h.second.write);
+        assert!(g.download(out).unwrap().iter().all(|&v| v == 1.0));
+    }
+
+    #[test]
+    fn chain_writes_initialise_exactly_the_written_elements() {
+        let mut g: Gpu<f32> = Gpu::with_sanitizer(DeviceSpec::gtx_470());
+        let out = g.alloc(32).unwrap();
+        let sink = g.alloc(32).unwrap();
+        let cfg = LaunchConfig::new("chains[half]", 8, 4);
+        // Every block writes its even chain elements only, one through the
+        // untracked and one through the tracked writer.
+        g.launch(&cfg, &[], &[(out, CHAINS)], |_, io| {
+            io.chains[0].set(0, 1.0);
+            io.chains[0].set_at(2, 1.0, 2, "test::store");
+        })
+        .unwrap();
+        let written: Vec<usize> = (0..32).filter(|i| (i % 16) / 4 % 2 == 0).collect();
+        assert_eq!(written.len(), 16);
+        // A full read of the buffer flags exactly the other half.
+        let read = LaunchConfig::new("read[all]", 1, 32);
+        g.launch(
+            &read,
+            &[out],
+            &[(sink, OutMode::Chunked { chunk: 32 })],
+            |_, io| {
+                for i in 0..32 {
+                    let v = io.load(0, i, i, "test::load");
+                    io.store(0, i, v, i, "test::copy");
+                }
+            },
+        )
+        .unwrap();
+        let report = g.take_sanitizer_report().unwrap();
+        let mut uninit: Vec<usize> = report
+            .hazards
+            .iter()
+            .filter(|h| h.kind == HazardKind::UninitializedRead)
+            .map(|h| h.index)
+            .collect();
+        uninit.sort_unstable();
+        let unwritten: Vec<usize> = (0..32).filter(|i| !written.contains(i)).collect();
+        assert_eq!(uninit, unwritten, "{report}");
+        assert_eq!(report.hazards.len(), unwritten.len(), "{report}");
+    }
+
+    #[test]
+    fn metered_chain_launch_matches_numeric_stats_bit_for_bit() {
+        let cfg = LaunchConfig::new("chains[meter]", 8, 4);
+        let meter = |ctx: &mut BlockCtx| {
+            ctx.gmem_read(4 + ctx.block_id as usize, 4);
+            ctx.gmem_write(4, 4);
+            ctx.ops(12);
+            ctx.sync();
+        };
+        let mut num = gpu();
+        let out = num.alloc(32).unwrap();
+        let a = num
+            .launch(&cfg, &[], &[(out, CHAINS)], |ctx, io| {
+                for j in 0..4 {
+                    io.chains[0].set(j, 2.0);
+                }
+                meter(ctx);
+            })
+            .unwrap();
+        let mut met = gpu();
+        let out = met.alloc(32).unwrap();
+        let b = met
+            .launch_metered(&cfg, &[], &[(out, CHAINS)], meter)
+            .unwrap();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(num.elapsed_s().to_bits(), met.elapsed_s().to_bits());
     }
 }

@@ -69,6 +69,8 @@ pub enum Region {
     Input(usize),
     /// Chunked output `owned[i]` (indices are block-local).
     ChunkedOut(usize),
+    /// Chain output `chains[i]` (indices are chain-local).
+    ChainOut(usize),
     /// Scattered output `scattered[i]` (indices are buffer-global).
     ScatteredOut(usize),
     /// A whole global-memory buffer slot, as tracked at buffer granularity
@@ -83,6 +85,7 @@ impl std::fmt::Display for Region {
             Region::Shared => write!(f, "shared"),
             Region::Input(i) => write!(f, "input[{i}]"),
             Region::ChunkedOut(i) => write!(f, "owned[{i}]"),
+            Region::ChainOut(i) => write!(f, "chains[{i}]"),
             Region::ScatteredOut(i) => write!(f, "scattered[{i}]"),
             Region::Global(i) => write!(f, "global[{i}]"),
         }
@@ -289,7 +292,7 @@ pub(crate) struct BlockHazard {
 }
 
 /// Per-block shadow state for one launch: the racecheck access map for the
-/// current barrier interval, the shared-memory and chunked-output init
+/// current barrier interval, the shared-memory and owned-output init
 /// shadows, and the hazards found so far.
 ///
 /// Lives in a `RefCell` owned by the block's executor; the tracked access
@@ -302,7 +305,8 @@ pub(crate) struct BlockShadow {
     accesses: HashMap<(Region, usize), AccessRecord>,
     /// Shared-memory init shadow (element granularity).
     smem_written: InitMask,
-    /// Per chunked output: block-local written mask (lazily sized).
+    /// Per owned output (the chunked outputs, then the chain outputs):
+    /// block-local written mask (lazily sized).
     owned_writes: Vec<Option<InitMask>>,
     hazards: Vec<BlockHazard>,
     dropped: usize,
@@ -432,7 +436,7 @@ impl BlockShadow {
         self.smem_written.len()
     }
 
-    /// Mark a block-local index of chunked output `slot` written.
+    /// Mark a block-local index of owned output `slot` written.
     pub(crate) fn mark_owned_write(&mut self, slot: usize, index: usize, chunk_len: usize) {
         let mask = self.owned_writes[slot].get_or_insert_with(|| InitMask::new_uninit(chunk_len));
         mask.set(index);

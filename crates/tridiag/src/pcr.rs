@@ -25,7 +25,8 @@ use crate::Result;
 ///
 /// All slices must have the same length `n` (the system size). `src` and
 /// `dst` must be distinct buffers (double buffering), mirroring the
-/// read-old/write-new discipline a GPU kernel needs.
+/// read-old/write-new discipline a GPU kernel needs. This is the
+/// whole-system case of [`pcr_rows`].
 #[allow(clippy::too_many_arguments)]
 pub fn pcr_step<T: Scalar>(
     stride: usize,
@@ -38,16 +39,45 @@ pub fn pcr_step<T: Scalar>(
     dst_c: &mut [T],
     dst_d: &mut [T],
 ) {
+    pcr_rows(
+        stride, 0, src_a, src_b, src_c, src_d, dst_a, dst_b, dst_c, dst_d,
+    );
+}
+
+/// Apply one PCR step at stride `stride` to rows `first .. first + len` of
+/// the `n`-equation system stored in the `src` slices, writing row
+/// `first + k` into element `k` of the `dst` slices (`len` = their length).
+///
+/// Bit-identical to the corresponding rows of [`pcr_step`]: a block of
+/// stage 1's cooperative splitting owns one row range of one system and
+/// computes it with the same loop.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub fn pcr_rows<T: Scalar>(
+    stride: usize,
+    first: usize,
+    src_a: &[T],
+    src_b: &[T],
+    src_c: &[T],
+    src_d: &[T],
+    dst_a: &mut [T],
+    dst_b: &mut [T],
+    dst_c: &mut [T],
+    dst_d: &mut [T],
+) {
     let n = src_b.len();
+    let end = first + dst_b.len();
     debug_assert!(stride >= 1);
+    debug_assert!(end <= n);
     // Rows `lo..hi` have both stride-`s` neighbours in range; only the rows
     // outside that range substitute identity rows.
-    let lo = stride.min(n);
-    let hi = n.saturating_sub(stride).max(lo);
-    for i in (0..lo).chain(hi..n) {
+    let lo = stride.min(n).clamp(first, end);
+    let hi = n.saturating_sub(stride).clamp(lo, end);
+    for i in (first..lo).chain(hi..end) {
         let (row_m, row_p) = neighbor_rows(i, stride, n, src_a, src_b, src_c, src_d);
         let own = (src_a[i], src_b[i], src_c[i], src_d[i]);
-        (dst_a[i], dst_b[i], dst_c[i], dst_d[i]) = pcr_row(own, row_m, row_p);
+        let k = i - first;
+        (dst_a[k], dst_b[k], dst_c[k], dst_d[k]) = pcr_row(own, row_m, row_p);
     }
     if hi == lo {
         return;
@@ -75,11 +105,12 @@ pub fn pcr_step<T: Scalar>(
         &src_c[lo..hi],
         &src_d[lo..hi],
     );
+    let (olo, ohi) = (lo - first, hi - first);
     let (oa, ob, oc, od) = (
-        &mut dst_a[lo..hi],
-        &mut dst_b[lo..hi],
-        &mut dst_c[lo..hi],
-        &mut dst_d[lo..hi],
+        &mut dst_a[olo..ohi],
+        &mut dst_b[olo..ohi],
+        &mut dst_c[olo..ohi],
+        &mut dst_d[olo..ohi],
     );
     for k in 0..len {
         (oa[k], ob[k], oc[k], od[k]) = pcr_row(
@@ -298,6 +329,61 @@ mod tests {
                     let want = [ea, eb, ec, ed];
                     let bits = |v: [f32; 4]| v.map(f32::to_bits);
                     assert_eq!(bits(got), bits(want), "n={n} stride={stride} row {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_ranges_match_the_whole_step_bit_for_bit() {
+        // Every row range of every size/stride relation — block boundaries
+        // inside the identity rim, inside the interior and straddling both,
+        // strides >= n, n in {1, 2, 3} and non-powers of two — must equal
+        // the corresponding slice of the whole-system step.
+        let val = |i: usize, k: usize| (((i * 5 + k * 11) % 13) as f64 - 6.0) * 0.29 + 0.03;
+        for n in (1..34usize).chain([63, 100, 257]) {
+            let src: Vec<Vec<f64>> = (0..4)
+                .map(|k| {
+                    (0..n)
+                        .map(|i| val(i, k) + if k == 1 { 7.0 } else { 0.0 })
+                        .collect()
+                })
+                .collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for stride in [1usize, 2, 3, 4, 5, 8, 16, 32, 64, n, n + 1] {
+                let mut whole = vec![vec![0.0f64; n]; 4];
+                let [wa, wb, wc, wd] = &mut whole[..] else {
+                    unreachable!()
+                };
+                pcr_step(stride, &src[0], &src[1], &src[2], &src[3], wa, wb, wc, wd);
+                // Exhaustive over ranges for small systems; every block
+                // partition of a few block sizes for the larger ones.
+                let ranges: Vec<(usize, usize)> = if n <= 33 {
+                    (0..=n)
+                        .flat_map(|first| (first..=n).map(move |end| (first, end)))
+                        .collect()
+                } else {
+                    [1usize, 3, 16, 31, 64]
+                        .iter()
+                        .flat_map(|&bs| (0..n).step_by(bs).map(move |f| (f, (f + bs).min(n))))
+                        .collect()
+                };
+                for (first, end) in ranges {
+                    let len = end - first;
+                    let mut part = vec![vec![0.0f64; len]; 4];
+                    let [pa, pb, pc, pd] = &mut part[..] else {
+                        unreachable!()
+                    };
+                    pcr_rows(
+                        stride, first, &src[0], &src[1], &src[2], &src[3], pa, pb, pc, pd,
+                    );
+                    for k in 0..4 {
+                        assert_eq!(
+                            bits(&part[k]),
+                            bits(&whole[k][first..end]),
+                            "n={n} stride={stride} rows {first}..{end} array {k}"
+                        );
+                    }
                 }
             }
         }

@@ -21,6 +21,12 @@ cargo test -q
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
+echo "== cargo test (vendored rayon stand-in) =="
+cargo test -q -p rayon
+
+echo "== benchmark digests (every simulated number of the seed-7 workloads, bit for bit) =="
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 

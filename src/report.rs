@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use trisolve_bench::regress::{self, RegressReport, Tolerances};
+use trisolve_bench::regress::{self, RegressReport};
 use trisolve_bench::snapshot::{self, FamilyObs};
 use trisolve_gpu_sim::DeviceSpec;
 use trisolve_obs::roofline::{DevicePeaks, LimiterVerdict};
@@ -197,7 +197,7 @@ pub fn to_prometheus(reports: &[DeviceReport]) -> String {
 }
 
 /// Run the bench-regression gate against a parsed `BENCH_<n>.json`
-/// baseline with the default tolerances.
+/// baseline.
 pub fn regress_against(baseline: &serde_json::Value, quick: bool) -> Result<RegressReport, String> {
-    regress::compare_against(baseline, quick, &Tolerances::default())
+    regress::compare_against(baseline, quick)
 }
